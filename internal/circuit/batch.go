@@ -27,16 +27,11 @@ const BatchLanes = 64
 //
 // The returned slice holds one word per primary output. scratch, if
 // cap-sufficient (NumGates words), backs the intermediate wires.
+//
+// EvalNoisyBlockInto is the production sampler; this single-word pass,
+// with its own flipStream, is the independent reference its parity
+// tests compare against.
 func (c *Circuit) EvalNoisyBatch(pi, key []bool, eps float64, rng *rand.Rand, scratch []uint64) []uint64 {
-	return c.EvalNoisyBatchInto(nil, pi, key, eps, rng, scratch)
-}
-
-// EvalNoisyBatchInto is EvalNoisyBatch with a caller-provided output
-// buffer: when out has capacity for NumPOs words it backs the result
-// and no output allocation happens, which matters on sampling hot
-// paths (SignalProbs issues ceil(Ns/64) passes per distinguishing
-// input). Passing nil falls back to allocating.
-func (c *Circuit) EvalNoisyBatchInto(out []uint64, pi, key []bool, eps float64, rng *rand.Rand, scratch []uint64) []uint64 {
 	if len(pi) != len(c.PIs) || len(key) != len(c.Keys) {
 		panic(fmt.Sprintf("circuit %q: EvalNoisyBatch input width mismatch (%d/%d PIs, %d/%d keys)",
 			c.Name, len(pi), len(c.PIs), len(key), len(c.Keys)))
@@ -115,11 +110,7 @@ func (c *Circuit) EvalNoisyBatchInto(out []uint64, pi, key []bool, eps float64, 
 		}
 		w[op.out] = v
 	}
-	if cap(out) >= len(c.POs) {
-		out = out[:len(c.POs)]
-	} else {
-		out = make([]uint64, len(c.POs))
-	}
+	out := make([]uint64, len(c.POs))
 	for i, po := range c.POs {
 		out[i] = w[po]
 	}

@@ -52,24 +52,18 @@ func grow(buf []uint64, n int) []uint64 {
 	return make([]uint64, n)
 }
 
-// EvalNoisyBlock is EvalNoisyBlockInto with a freshly allocated output
-// slice.
-func (c *Circuit) EvalNoisyBlock(pi, key []bool, eps float64, rng *rand.Rand, words int, scratch *BlockScratch) []uint64 {
-	return c.EvalNoisyBlockInto(nil, pi, key, eps, rng, words, scratch)
-}
-
 // EvalNoisyBlockInto evaluates words×BatchLanes independent noisy
 // samples of the circuit in one blocked bit-parallel pass: every wire
 // is a row of `words` 64-bit machine words, each bit lane an
 // independent Monte-Carlo sample under the paper's per-gate error
-// model. It generalises EvalNoisyBatchInto (the words=1 case) so a
+// model. It generalises EvalNoisyBatch (the words=1 case) so a
 // signal-probability query with Ns samples costs
 // ceil(Ns/(64·words)) full-circuit passes instead of ceil(Ns/64).
 //
 // The result holds NumPOs rows: output i's word k sits at
 // out[i*words+k]. Determinism contract: with the same rng state, word
 // column k of a blocked pass is bit-identical to the k-th of `words`
-// successive EvalNoisyBatchInto calls — the per-word flip streams are
+// successive EvalNoisyBatch calls — the per-word flip streams are
 // drawn in exactly that order — so attack trajectories (keys, DIPs,
 // iteration and oracle-query counts) are independent of the block
 // width. The parity tests in block_test.go enforce this.
@@ -78,7 +72,7 @@ func (c *Circuit) EvalNoisyBlock(pi, key []bool, eps float64, rng *rand.Rand, wo
 // be nil (allocates internally) and is otherwise reused across calls.
 func (c *Circuit) EvalNoisyBlockInto(out []uint64, pi, key []bool, eps float64, rng *rand.Rand, words int, scratch *BlockScratch) []uint64 {
 	if len(pi) != len(c.PIs) || len(key) != len(c.Keys) {
-		panic(fmt.Sprintf("circuit %q: EvalNoisyBlock input width mismatch (%d/%d PIs, %d/%d keys)",
+		panic(fmt.Sprintf("circuit %q: EvalNoisyBlockInto input width mismatch (%d/%d PIs, %d/%d keys)",
 			c.Name, len(pi), len(c.PIs), len(key), len(c.Keys)))
 	}
 	if eps < 0 || eps > 1 {
@@ -301,7 +295,7 @@ func evalOpsGeneric(p *evalProg, w, masks []uint64, words int) {
 
 // evalOps1 is the single-word kernel: every wire row is one machine
 // word held in a register through the op, exactly the shape of the
-// EvalNoisyBatchInto loop.
+// EvalNoisyBatch loop.
 func evalOps1(p *evalProg, w, masks []uint64) {
 	fanin := p.fanin
 	for i := range p.ops {

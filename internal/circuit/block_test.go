@@ -1,6 +1,7 @@
 package circuit
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -65,7 +66,7 @@ func TestEvalNoisyBlockZeroEpsMatchesScalar(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		pi := c.RandomInputs(rng)
 		want := c.Eval(pi, nil, nil)
-		blk := c.EvalNoisyBlock(pi, nil, 0, rng, 4, nil)
+		blk := c.EvalNoisyBlockInto(nil, pi, nil, 0, rng, 4, nil)
 		for i, b := range want {
 			for k := 0; k < 4; k++ {
 				w := blk[i*4+k]
@@ -91,10 +92,10 @@ func TestEvalNoisyBlockPanics(t *testing.T) {
 		}()
 		f()
 	}
-	expectPanic("width", func() { c.EvalNoisyBlock([]bool{true, false}, nil, 0.1, rng, 2, nil) })
-	expectPanic("eps", func() { c.EvalNoisyBlock([]bool{true}, nil, 1.5, rng, 2, nil) })
-	expectPanic("words-low", func() { c.EvalNoisyBlock([]bool{true}, nil, 0.1, rng, 0, nil) })
-	expectPanic("words-high", func() { c.EvalNoisyBlock([]bool{true}, nil, 0.1, rng, MaxBlockWords+1, nil) })
+	expectPanic("width", func() { c.EvalNoisyBlockInto(nil, []bool{true, false}, nil, 0.1, rng, 2, nil) })
+	expectPanic("eps", func() { c.EvalNoisyBlockInto(nil, []bool{true}, nil, 1.5, rng, 2, nil) })
+	expectPanic("words-low", func() { c.EvalNoisyBlockInto(nil, []bool{true}, nil, 0.1, rng, 0, nil) })
+	expectPanic("words-high", func() { c.EvalNoisyBlockInto(nil, []bool{true}, nil, 0.1, rng, MaxBlockWords+1, nil) })
 }
 
 func TestDefaultBlockWords(t *testing.T) {
@@ -155,3 +156,29 @@ func BenchmarkEvalNoisyBlock2kW8(b *testing.B) { benchEvalNoisyBlock2k(b, 0.01, 
 // width's amortisation of the schedule walk is fully visible.
 func BenchmarkEvalNoisyBlock2kW1LowEps(b *testing.B) { benchEvalNoisyBlock2k(b, 0.001, 1) }
 func BenchmarkEvalNoisyBlock2kW8LowEps(b *testing.B) { benchEvalNoisyBlock2k(b, 0.001, 8) }
+
+// BenchmarkEvalNoisyBlockGeneric is the keep-or-cut measurement for the
+// generic strided kernel (W ∈ {2, 4}): one W-word pass against W
+// single-word passes drawing the same samples, at eps=1e-3 on a 2k-gate
+// and a 100k-gate circuit (the latter's default width is 4).
+func BenchmarkEvalNoisyBlockGeneric(b *testing.B) {
+	for _, gates := range []int{2000, 100000} {
+		c := randomCircuit(1, 64, gates, 32)
+		pi := c.RandomInputs(rand.New(rand.NewSource(3)))
+		for _, words := range []int{2, 4} {
+			for _, passes := range []int{1, words} {
+				width := words / passes
+				b.Run(fmt.Sprintf("gates=%d/W=%dx%d", gates, width, passes), func(b *testing.B) {
+					rng := rand.New(rand.NewSource(4))
+					var scratch BlockScratch
+					var out []uint64
+					for i := 0; i < b.N; i++ {
+						for p := 0; p < passes; p++ {
+							out = c.EvalNoisyBlockInto(out, pi, nil, 0.001, rng, width, &scratch)
+						}
+					}
+				})
+			}
+		}
+	}
+}

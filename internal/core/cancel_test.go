@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -90,6 +91,21 @@ func checkInterruptedTrace(t *testing.T, events []trace.Event) {
 	}
 }
 
+// cancelOnIterEnd cancels the attack's context from inside the trace
+// stream, on the first iteration_end event: by then at least one
+// iteration has been counted, however slow setup and the first solve
+// are.
+type cancelOnIterEnd struct {
+	once   sync.Once
+	cancel context.CancelFunc
+}
+
+func (c *cancelOnIterEnd) Emit(ev trace.Event) {
+	if ev.Type == trace.IterEnd {
+		c.once.Do(c.cancel)
+	}
+}
+
 // TestAttackCancelParallel cancels a live multi-instance run; under
 // -race this exercises the interrupt path racing against concurrent
 // instance goroutines and the shared-oracle lock.
@@ -99,10 +115,8 @@ func TestAttackCancelParallel(t *testing.T) {
 	opts := quickOpts(0.02, 4)
 	opts.Parallel = true
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(2 * time.Millisecond)
-		cancel()
-	}()
+	defer cancel()
+	opts.Tracer = &cancelOnIterEnd{cancel: cancel}
 	res, err := Attack(ctx, l.Circuit, orc, opts)
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("err = %v, want ErrInterrupted", err)

@@ -302,13 +302,16 @@ func TestAttackWithLogging(t *testing.T) {
 }
 
 func TestWrapOracleScalar(t *testing.T) {
-	// A non-batch oracle wrapped for parallel mode must keep working
-	// through the scalar path (no QueryBatch promoted).
+	// A scalar oracle wrapped for parallel mode must keep working
+	// through the scalar path (no QueryBatch or QueryBlock promoted).
 	_, l := lockedSmall(t, 14, 6)
 	det := oracle.NewDeterministic(l.Circuit, l.Key)
 	w := wrapOracle(det)
 	if _, ok := w.(oracle.BatchQuerier); ok {
 		t.Error("scalar oracle must not gain QueryBatch through wrapping")
+	}
+	if _, ok := w.(oracle.BlockQuerier); ok {
+		t.Error("scalar oracle must not gain QueryBlock through wrapping")
 	}
 	x := make([]bool, l.Circuit.NumPIs())
 	a := det.Query(x)
@@ -330,22 +333,26 @@ func TestWrapOracleBatch(t *testing.T) {
 	_, l := lockedSmall(t, 15, 6)
 	prob := oracle.NewProbabilistic(l.Circuit, l.Key, 0.01, 500)
 	w := wrapOracle(prob)
-	bq, ok := w.(oracle.BatchQuerier)
+	bq, ok := w.(oracle.BlockQuerier)
 	if !ok {
-		t.Fatal("batch oracle lost QueryBatch through wrapping")
+		t.Fatal("block oracle lost QueryBlock through wrapping")
 	}
-	words := bq.QueryBatch(make([]bool, l.Circuit.NumPIs()))
-	if len(words) != l.Circuit.NumPOs() {
-		t.Errorf("batch width %d", len(words))
+	if bq.BlockWords() != prob.BlockWords() {
+		t.Errorf("wrapped BlockWords %d, want %d", bq.BlockWords(), prob.BlockWords())
 	}
-	if w.Queries() == 0 {
-		t.Error("batch queries not counted")
+	const words = 2
+	out := bq.QueryBlock(make([]bool, l.Circuit.NumPIs()), words)
+	if len(out) != l.Circuit.NumPOs()*words {
+		t.Errorf("block holds %d words, want %d", len(out), l.Circuit.NumPOs()*words)
+	}
+	if w.Queries() != words*64 {
+		t.Errorf("block queries counted %d, want %d", w.Queries(), words*64)
 	}
 }
 
 func TestAttackParallelDeterministicOracle(t *testing.T) {
 	// Parallel mode with a deterministic (scalar) oracle: exercises
-	// scalarLockedOracle inside the attack.
+	// the scalar lockedOracle inside the attack.
 	orig, l := lockedSmall(t, 16, 8)
 	orc := oracle.NewDeterministic(l.Circuit, l.Key)
 	opts := quickOpts(0, 2)

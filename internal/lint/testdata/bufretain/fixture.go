@@ -1,6 +1,7 @@
 // Package fixture exercises the bufretain check. The local querier
-// mimics the BatchQuerier contract: the *Into methods return aliases
-// of an internal scratch buffer that the next call overwrites.
+// mimics the BatchQuerier/BlockQuerier contract: the *Into and Query*
+// methods return aliases of an internal scratch buffer that the next
+// call overwrites.
 package fixture
 
 type querier struct {
@@ -15,7 +16,7 @@ func (q *querier) SignalProbsInto(dst []float64) []float64 {
 	return q.scratch
 }
 
-func (q *querier) EvalNoisyBatchInto(out []uint64) []uint64 {
+func (q *querier) QueryBatch(x []bool) []uint64 {
 	return q.out
 }
 
@@ -52,7 +53,7 @@ func badAppendElement(h *holder, q *querier) {
 }
 
 func badAppendFirstArg(h *holder, q *querier) {
-	h.batchAlias = append(q.EvalNoisyBatchInto(nil), 0) // want `\[bufretain\] result of EvalNoisyBatchInto .* struct field batchAlias`
+	h.batchAlias = append(q.QueryBatch(nil), 0) // want `\[bufretain\] result of QueryBatch .* struct field batchAlias`
 }
 
 func badCompositeLit(q *querier) holder {

@@ -27,10 +27,10 @@ type NoiseCounter interface {
 
 // TapeRecord is one recorded oracle interaction. Kind "q" is a scalar
 // Query (Y holds the output bits); kind "b" is a QueryBlock of Words
-// words (W holds the NumOutputs×Words result words; QueryBatch is the
-// Words==1 case). The counter fields are cumulative totals after the
-// interaction, so the final record of a tape carries everything a
-// resume needs to position a fresh oracle.
+// words (W holds the NumOutputs×Words result words). The counter
+// fields are cumulative totals after the interaction, so the final
+// record of a tape carries everything a resume needs to position a
+// fresh oracle.
 type TapeRecord struct {
 	Kind    string   `json:"k"`
 	X       string   `json:"x"`
@@ -85,9 +85,9 @@ type Journal struct {
 }
 
 // BlockJournal is the Journal over an inner BlockQuerier: it
-// additionally replays and records batch/block queries, so the
-// blocked sampling paths keep working — and keep their trajectories —
-// across a resume. Constructed by NewJournal; never construct a
+// additionally replays and records block queries, so the blocked
+// sampling paths keep working — and keep their trajectories — across
+// a resume. Constructed by NewJournal; never construct a
 // BlockJournal over a scalar-only oracle.
 type BlockJournal struct {
 	Journal
@@ -98,7 +98,7 @@ type BlockJournal struct {
 // If the inner oracle counts noise draws, its stream is skipped to the
 // tape's final draw position so post-replay sampling continues where
 // the recorded run stopped. The returned oracle implements
-// BatchQuerier/BlockQuerier exactly when the inner one does.
+// BlockQuerier exactly when the inner one does.
 func NewJournal(inner Oracle, tape []TapeRecord, sink func(TapeRecord)) Oracle {
 	j := Journal{inner: inner, tape: tape, sink: sink}
 	if len(tape) > 0 {
@@ -210,12 +210,6 @@ func (j *Journal) SkipNoiseDraws(n uint64) {
 	if nc, ok := j.inner.(NoiseCounter); ok {
 		nc.SkipNoiseDraws(n)
 	}
-}
-
-// QueryBatch implements BatchQuerier (BlockJournal only): the
-// single-word block, mirroring Probabilistic.
-func (j *BlockJournal) QueryBatch(x []bool) []uint64 {
-	return j.QueryBlock(x, 1)
 }
 
 // QueryBlock implements BlockQuerier (BlockJournal only).

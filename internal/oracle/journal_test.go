@@ -19,7 +19,7 @@ func journalFixture(t *testing.T) (*circuit.Circuit, []bool, func() *Probabilist
 	}
 }
 
-// drive performs a deterministic mixed workload (scalar, batch, block,
+// drive performs a deterministic mixed workload (scalar, block,
 // SignalProbs) against o and returns a digest of every answer.
 func drive(t *testing.T, o Oracle, nin int, upto int) [][]bool {
 	t.Helper()
@@ -41,11 +41,12 @@ func drive(t *testing.T, o Oracle, nin int, upto int) [][]bool {
 			}
 			out = append(out, row)
 		case 2:
-			if bq, ok := o.(BatchQuerier); ok {
-				w := bq.QueryBatch(x)
-				row := make([]bool, len(w))
-				for j, v := range w {
-					row[j] = v&1 == 1
+			if bq, ok := o.(BlockQuerier); ok {
+				const words = 2
+				w := bq.QueryBlock(x, words)
+				row := make([]bool, len(w)/words)
+				for j := range row {
+					row[j] = w[j*words]&1 == 1
 				}
 				out = append(out, row)
 			}
@@ -130,6 +131,9 @@ func TestJournalScalarOracle(t *testing.T) {
 	ctrl := NewJournal(fresh(), nil, func(r TapeRecord) { tape = append(tape, r) })
 	if _, ok := ctrl.(BatchQuerier); ok {
 		t.Fatal("journal over a scalar oracle must not claim BatchQuerier")
+	}
+	if _, ok := ctrl.(BlockQuerier); ok {
+		t.Fatal("journal over a scalar oracle must not claim BlockQuerier")
 	}
 	want := drive(t, ctrl, ctrl.NumInputs(), 9)
 

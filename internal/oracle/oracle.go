@@ -129,8 +129,9 @@ func (s *countingSource) skip(n uint64) {
 }
 
 // BatchQuerier is implemented by oracles that can evaluate
-// circuit.BatchLanes independent samples per call. SignalProbs uses it
-// when available; each call counts as BatchLanes queries.
+// circuit.BatchLanes independent samples per call; each call counts as
+// BatchLanes queries. SignalProbs and PatternCounts sample through
+// BlockQuerier instead; this is the single-word block.
 //
 // The returned slice is only valid until the next QueryBatch call on
 // the same oracle: implementations may (and Probabilistic does) reuse
@@ -140,22 +141,21 @@ type BatchQuerier interface {
 	QueryBatch(x []bool) []uint64
 }
 
-// BlockQuerier generalises BatchQuerier to whole evaluation blocks:
-// one QueryBlock call draws words×circuit.BatchLanes independent
-// samples, so an Ns-sample probability estimate costs
-// ceil(Ns/(64·words)) circuit passes instead of ceil(Ns/64). Word
+// BlockQuerier is implemented by oracles that evaluate whole blocks of
+// bit-parallel samples: one QueryBlock call draws
+// words×circuit.BatchLanes independent samples, so an Ns-sample
+// probability estimate costs ceil(Ns/(64·words)) circuit passes. Word
 // column k of a block is bit-identical to the k-th of `words`
-// successive QueryBatch calls over the same noise stream
+// successive single-word blocks over the same noise stream
 // (circuit.EvalNoisyBlockInto's determinism contract), so sampling
 // results — and therefore attack trajectories — are independent of the
 // block width.
 //
 // The returned slice holds NumOutputs rows of `words` words (output
 // j's word k at [j*words+k]) and is only valid until the next
-// QueryBlock or QueryBatch call on the same oracle; callers that
-// retain it must copy.
+// QueryBlock call on the same oracle; callers that retain it must
+// copy.
 type BlockQuerier interface {
-	BatchQuerier
 	// QueryBlock draws words×circuit.BatchLanes samples in one blocked
 	// pass; words must be in [1, BlockWords()]. Each call counts as
 	// words×circuit.BatchLanes queries.
@@ -273,9 +273,10 @@ func (o *Probabilistic) Eps() float64 { return o.eps }
 
 // SignalProbs queries the oracle ns times with x and returns the
 // per-output signal probabilities (eq. 1). Oracles implementing
-// BatchQuerier are sampled bit-parallel, BatchLanes samples per pass
-// (the sample count is then rounded up to a whole number of passes —
-// never fewer samples than requested).
+// BlockQuerier are sampled bit-parallel in whole BatchLanes-sample
+// words (the sample count is then rounded up to a whole number of
+// words — never fewer samples than requested); others are queried
+// ns times through Query.
 //
 // Cancelling ctx stops the sampling early; the probabilities are then
 // normalised over the samples actually taken (best-effort, all-zero
@@ -305,11 +306,10 @@ func SignalProbsInto(ctx context.Context, o Oracle, x []bool, ns int, dst []floa
 	}
 	total := 0
 	if blq, ok := o.(BlockQuerier); ok {
-		// Blocked sampling: same whole-word rounding as the batch path
-		// (ceil(ns/64) words), consumed up to BlockWords() words per
-		// circuit pass. Word columns are drawn in the same stream order
-		// as successive batch passes, so counts — and the query total —
-		// are bit-identical at every block width.
+		// Blocked sampling: ceil(ns/64) words, consumed up to
+		// BlockWords() words per circuit pass. Word columns are drawn in
+		// the same stream order at every width, so counts — and the
+		// query total — are bit-identical at every block width.
 		left := (ns + circuit.BatchLanes - 1) / circuit.BatchLanes
 		wmax := blq.BlockWords()
 		for left > 0 && ctx.Err() == nil {
@@ -327,15 +327,6 @@ func SignalProbsInto(ctx context.Context, o Oracle, x []bool, ns int, dst []floa
 			}
 			total += wblk * circuit.BatchLanes
 			left -= wblk
-		}
-	} else if bq, ok := o.(BatchQuerier); ok {
-		passes := (ns + circuit.BatchLanes - 1) / circuit.BatchLanes
-		for p := 0; p < passes && ctx.Err() == nil; p++ {
-			words := bq.QueryBatch(x)
-			for j, w := range words {
-				dst[j] += float64(bits.OnesCount64(w))
-			}
-			total += circuit.BatchLanes
 		}
 	} else {
 		for i := 0; i < ns && ctx.Err() == nil; i++ {
@@ -410,21 +401,6 @@ func PatternCounts(ctx context.Context, o Oracle, x []bool, ns int) map[string]i
 				}
 			}
 			remaining -= wblk * circuit.BatchLanes
-		}
-	} else if bq, ok := o.(BatchQuerier); ok {
-		for remaining >= circuit.BatchLanes && ctx.Err() == nil {
-			words := bq.QueryBatch(x)
-			for lane := 0; lane < circuit.BatchLanes; lane++ {
-				for j, w := range words {
-					if w>>uint(lane)&1 == 1 {
-						buf[j] = '1'
-					} else {
-						buf[j] = '0'
-					}
-				}
-				counts[string(buf)]++
-			}
-			remaining -= circuit.BatchLanes
 		}
 	}
 	for i := 0; i < remaining && ctx.Err() == nil; i++ {
