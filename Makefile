@@ -4,7 +4,7 @@
 # docs/OBSERVABILITY.md). statlint sits between vet and race so the
 # repo's determinism / buffer-aliasing / trace-gating invariants are
 # machine-checked on every verify — see docs/LINTING.md.
-.PHONY: verify build test vet race bench statlint suppressions doclinks fmt fmtcheck
+.PHONY: verify build test vet race statlint suppressions doclinks fmt fmtcheck
 
 verify: vet build statlint suppressions doclinks fmtcheck race
 
@@ -45,16 +45,3 @@ test:
 
 race:
 	go test -race ./...
-
-# Smoke-profile benchmarks: one pass over every table/figure generator
-# (see bench_test.go). benchdiff compares against the newest recorded
-# baseline (the version-sorted last of BENCH_*.json, so landing a new
-# BENCH_prN.json automatically makes it the reference) and warns
-# (without failing) when allocs/op regress >20% — allocation counts
-# are deterministic, so that is signal, not noise. Pass -fail to
-# benchdiff for a hard gate.
-BENCH_BASELINE = $(shell ls BENCH_*.json | sort -V | tail -1)
-
-bench:
-	go test -run='^$$' -bench=. -benchtime=1x -benchmem . | tee bench.out
-	go run ./cmd/benchdiff -baseline $(BENCH_BASELINE) bench.out

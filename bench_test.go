@@ -24,10 +24,10 @@ func benchWriter(i int) io.Writer {
 	return io.Discard
 }
 
-// smokeSeq pins the experiment scheduler to one worker so the
-// per-generator numbers stay comparable with BENCH_baseline.json,
-// which predates the parallel scheduler. BenchmarkTableII_Parallel
-// measures the pool itself.
+// smokeSeq pins the experiment scheduler to one worker so each
+// generator's time measures the experiment's own work, independent of
+// the machine's CPU count. BenchmarkTableII_Parallel measures the pool
+// itself.
 var smokeSeq = func() exp.Profile {
 	p := exp.Smoke
 	p.Workers = 1

@@ -163,11 +163,6 @@ func run() int {
 			PortfolioWorkers: *pfWork, PortfolioRacers: *pfRace,
 			Tracer: tracer,
 		}
-		if *verbose {
-			opts.Logf = func(format string, args ...interface{}) {
-				fmt.Fprintf(os.Stderr, format+"\n", args...)
-			}
-		}
 		res, err := core.Attack(ctx, locked, orc, opts)
 		if err != nil {
 			if !errors.Is(err, core.ErrInterrupted) {

@@ -13,6 +13,7 @@ package circuit
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 )
 
 // GateType enumerates the supported gate functions. The set matches
@@ -188,8 +189,14 @@ type Circuit struct {
 	// fall back to the driver gate's name.
 	PONames []string
 
-	topo []int     // cached topological order; nil until built
-	prog *evalProg // cached evaluation schedule; nil until built
+	// Lazily built analyses, each valid while the circuit still has
+	// the gate count it was built for (gates are only ever appended,
+	// so addGate needs no invalidation store). They are atomic so that
+	// goroutines sharing a finished circuit read-only may race on first
+	// use: each may compile its own copy, all identical, and the last
+	// store wins.
+	topo atomic.Pointer[[]int]    // cached topological order
+	prog atomic.Pointer[evalProg] // cached evaluation schedule
 }
 
 // New returns an empty circuit with the given name.
@@ -217,12 +224,11 @@ func (c *Circuit) NumPIs() int  { return len(c.PIs) }
 func (c *Circuit) NumKeys() int { return len(c.Keys) }
 func (c *Circuit) NumPOs() int  { return len(c.POs) }
 
-// addGate appends a gate and invalidates cached analyses.
+// addGate appends a gate; the cached analyses see the new gate count
+// and rebuild on next use.
 func (c *Circuit) addGate(g Gate) int {
 	id := len(c.Gates)
 	c.Gates = append(c.Gates, g)
-	c.topo = nil
-	c.prog = nil
 	return id
 }
 
@@ -298,8 +304,8 @@ func (c *Circuit) Validate() error {
 // TopoOrder returns (and caches) a topological order of all gate IDs
 // (sources first). It fails if the netlist contains a cycle.
 func (c *Circuit) TopoOrder() ([]int, error) {
-	if c.topo != nil {
-		return c.topo, nil
+	if order := c.topo.Load(); order != nil && len(*order) == len(c.Gates) {
+		return *order, nil
 	}
 	n := len(c.Gates)
 	indeg := make([]int, n)
@@ -334,7 +340,7 @@ func (c *Circuit) TopoOrder() ([]int, error) {
 	if len(order) != n {
 		return nil, fmt.Errorf("circuit %q: netlist contains a combinational cycle", c.Name)
 	}
-	c.topo = order
+	c.topo.Store(&order)
 	return order, nil
 }
 

@@ -22,18 +22,17 @@ type evalProg struct {
 	fanin  []int32
 	const0 []int32 // gate IDs of Const0 sources
 	const1 []int32 // gate IDs of Const1 sources
+	ngates int     // len(Circuit.Gates) the schedule was compiled for
 }
 
 // program returns (and caches) the compiled evaluation schedule. Like
-// the topological-order cache it is built lazily and invalidated by
-// addGate; share a circuit across goroutines only behind a lock or
-// after priming both caches (the oracle wrappers in internal/core
-// serialise all evaluation, matching the one-physical-chip model).
+// the topological-order cache it is built lazily and rebuilt once
+// gates have been added.
 func (c *Circuit) program() *evalProg {
-	if c.prog != nil {
-		return c.prog
+	if p := c.prog.Load(); p != nil && p.ngates == len(c.Gates) {
+		return p
 	}
-	p := &evalProg{}
+	p := &evalProg{ngates: len(c.Gates)}
 	nfan := 0
 	for id := range c.Gates {
 		nfan += len(c.Gates[id].Fanin)
@@ -57,7 +56,7 @@ func (c *Circuit) program() *evalProg {
 		}
 		p.ops = append(p.ops, evalOp{typ: g.Type, nfan: int32(len(g.Fanin)), out: int32(id), off: off})
 	}
-	c.prog = p
+	c.prog.Store(p)
 	return p
 }
 

@@ -94,8 +94,6 @@ type Options struct {
 	// PortfolioRacers caps the helper configurations raced per
 	// instance solve (default 3; capped by free worker slots).
 	PortfolioRacers int
-	// Logf, if set, receives progress lines (serialised internally).
-	Logf func(format string, args ...interface{})
 	// Tracer, if set, receives structured trace events for every
 	// iteration, DIP, gating decision, fork, force-proceed and key —
 	// the schema is documented in docs/OBSERVABILITY.md. Emission is
@@ -339,8 +337,6 @@ type attackRun struct {
 	// probability scratch instead of reallocating it per key, without
 	// sharing buffers between concurrently stepping instances.
 	estPool sync.Pool
-
-	logMu sync.Mutex
 }
 
 func (run *attackRun) getEstimator() *errprop.Estimator {
@@ -348,15 +344,6 @@ func (run *attackRun) getEstimator() *errprop.Estimator {
 		return est
 	}
 	return errprop.NewEstimator(run.locked)
-}
-
-func (run *attackRun) logf(format string, args ...interface{}) {
-	if run.opts.Logf == nil {
-		return
-	}
-	run.logMu.Lock()
-	defer run.logMu.Unlock()
-	run.opts.Logf(format, args...)
 }
 
 // Attack runs StatSAT against the oracle and returns every recovered
@@ -422,9 +409,6 @@ func Attack(ctx context.Context, locked *circuit.Circuit, orc oracle.Oracle, opt
 	run.res.Instances = run.peakLive
 	if interrupted == nil && run.anyRunning() && !run.res.Truncated {
 		run.res.Truncated = true
-	}
-	if run.res.Truncated {
-		run.logf("statsat: iteration budget exhausted with instances still running")
 	}
 	run.res.AttackDuration = time.Since(start)
 	run.res.OracleQueries = run.orc.Queries() - startQ
@@ -556,8 +540,6 @@ func (run *attackRun) interruptedResult(keys []KeyReport, ie *engine.Interrupted
 	}
 	run.eng.EmitInterrupted(ie.Cause, run.res.TotalIterations)
 	run.emitAttackEnd(len(keys))
-	run.logf("statsat: interrupted after %d iterations (%v); result is best-effort",
-		run.res.TotalIterations, ie.Cause)
 	return run.res, run.err
 }
 
@@ -740,7 +722,6 @@ func (run *attackRun) finish(ctx context.Context, in *instance) error {
 				Key: &trace.KeyInfo{Key: keyOf(in.key), Iterations: in.Iterations, DIPs: len(in.dips)},
 			})
 		}
-		run.logf("statsat: instance %d finished after %d iterations", in.ID, in.Iterations)
 		return nil
 	case sat.Unknown:
 		if err := ctx.Err(); err != nil {
@@ -748,26 +729,6 @@ func (run *attackRun) finish(ctx context.Context, in *instance) error {
 		}
 	}
 	run.setState(in, dead)
-	run.logf("statsat: instance %d UNSAT (dead) after %d iterations", in.ID, in.Iterations)
-	if run.opts.Logf != nil {
-		// Diagnostic cross-check: rebuild the key constraints from the
-		// recorded DIPs in a fresh solver and compare.
-		fresh := cnf.NewKeySolver(run.locked)
-		for _, d := range in.dips {
-			outs, err := fresh.AddDIPCopy(d.x)
-			if err != nil {
-				run.logf("statsat: rebuild failed: %v", err)
-				return nil
-			}
-			for i, v := range d.y {
-				if v >= 0 {
-					cnf.Equal(fresh.S, outs[i], v == 1)
-				}
-			}
-		}
-		run.logf("statsat: DIAG instance %d fresh-rebuild solve=%v (incremental said UNSAT)",
-			in.ID, fresh.S.Solve())
-	}
 	return nil
 }
 
@@ -853,10 +814,6 @@ func (run *attackRun) recordNewDIP(ctx context.Context, in *instance, x []bool) 
 			Gating: &trace.GatingInfo{DIP: dipIdx, Specified: specIdx, GatedU: gatedU, GatedE: gatedE},
 		})
 	}
-	if run.opts.Logf != nil {
-		run.logf("statsat: instance %d DIP %d: x=%s y=%s (%d/%d bits specified, %d candidate keys)",
-			in.ID, len(in.dips), keyOf(x), fmtY(d.y), specified, len(probs), len(cand))
-	}
 	return nil
 }
 
@@ -915,8 +872,6 @@ func (run *attackRun) handleRepeat(in *instance, d *dip) error {
 				Fork: &trace.ForkInfo{Child: child.ID, Bit: j, U: d.u[j], E: d.e[j], Value: v},
 			})
 		}
-		run.logf("statsat: instance %d forked -> %d on bit %d (U=%.3f E=%.3f)",
-			in.ID, child.ID, j, d.u[j], d.e[j])
 		if run.spawn != nil {
 			run.spawn(child)
 		}
@@ -932,7 +887,6 @@ func (run *attackRun) handleRepeat(in *instance, d *dip) error {
 			Fork: &trace.ForkInfo{Bit: j, U: d.u[j], E: d.e[j], Value: v},
 		})
 	}
-	run.logf("statsat: instance %d force-proceeds on bit %d (E=%.3f)", in.ID, j, d.e[j])
 	return nil
 }
 

@@ -11,6 +11,7 @@ import (
 	"statsat/internal/lock"
 	"statsat/internal/metrics"
 	"statsat/internal/oracle"
+	"statsat/internal/trace"
 )
 
 // quickOpts returns CI-sized attack options.
@@ -143,6 +144,30 @@ func TestAttackKeysSortedByFM(t *testing.T) {
 	}
 	if len(res.Keys) > 4 {
 		t.Errorf("%d keys exceed N_inst=4", len(res.Keys))
+	}
+}
+
+// TestAttackConcurrentKeyScoringColdCircuit scores several keys of a
+// circuit whose evaluation schedule nothing has compiled yet: a
+// deterministic chip never samples the locked netlist, so the
+// concurrent per-key simulations of evaluateKeys are its first users.
+// Under -race this pins the circuit's lazy caches as safe for
+// concurrent first use. One attack hits the unsynchronised window only
+// some of the time; four fresh locks hit it reliably.
+func TestAttackConcurrentKeyScoringColdCircuit(t *testing.T) {
+	for _, seed := range []int64{2, 4, 5, 6} {
+		_, l := lockedSmall(t, seed, 12)
+		orc := oracle.NewDeterministic(l.Circuit, l.Key)
+		opts := quickOpts(0.05, 4)
+		opts.MaxTotalIter = 400
+		res, err := Attack(context.Background(), l.Circuit, orc, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Keys) < 2 {
+			t.Fatalf("lock seed %d: %d key(s) scored; the check needs at least two scored concurrently",
+				seed, len(res.Keys))
+		}
 	}
 }
 
@@ -284,20 +309,35 @@ func TestFmtY(t *testing.T) {
 }
 
 func TestAttackWithLogging(t *testing.T) {
-	// Exercise the verbose code paths (per-DIP logging, finish logs,
-	// dead-instance diagnostics) end to end.
-	_, l := lockedSmall(t, 13, 8)
-	const eps = 0.03
+	// The trace is the attack's progress log: every fork,
+	// force-proceed and instance death it reports must match the
+	// Result counters. This lock and noise level exercise all three.
+	_, l := lockedSmall(t, 4, 8)
+	const eps = 0.05
 	orc := oracle.NewProbabilistic(l.Circuit, l.Key, eps, 400)
 	opts := quickOpts(eps, 2)
 	opts.MaxTotalIter = 400
-	lines := 0
-	opts.Logf = func(format string, args ...interface{}) { lines++ }
-	if _, err := Attack(context.Background(), l.Circuit, orc, opts); err != nil && err != ErrNoInstances {
+	rec := trace.NewRecorder()
+	opts.Tracer = rec
+	res, err := Attack(context.Background(), l.Circuit, orc, opts)
+	if err != nil && err != ErrNoInstances {
 		t.Fatal(err)
 	}
-	if lines == 0 {
-		t.Error("Logf never called")
+	if rec.Count(trace.DIPFound) == 0 {
+		t.Error("no dip_found event traced")
+	}
+	if got := rec.Count(trace.Fork); got != res.Forks {
+		t.Errorf("%d fork events, Result.Forks = %d", got, res.Forks)
+	}
+	if got := rec.Count(trace.ForceProceed); got != res.ForceProceeds {
+		t.Errorf("%d force_proceed events, Result.ForceProceeds = %d", got, res.ForceProceeds)
+	}
+	if got := rec.Count(trace.InstanceDead); got != res.DeadInstances {
+		t.Errorf("%d instance_dead events, Result.DeadInstances = %d", got, res.DeadInstances)
+	}
+	if res.Forks == 0 || res.ForceProceeds == 0 || res.DeadInstances == 0 {
+		t.Errorf("run too quiet to check the counters: %d forks, %d force-proceeds, %d dead",
+			res.Forks, res.ForceProceeds, res.DeadInstances)
 	}
 }
 

@@ -39,9 +39,6 @@ func Defense(ctx context.Context, p Profile, w io.Writer) ([]DefenseRow, error) 
 	if err != nil {
 		return nil, err
 	}
-	// Scheduler jobs share the deep circuit read-only; warm its lazy
-	// caches like BuildWorkload does for the RLL one.
-	deep.Circuit.NumLogicOps()
 
 	fmt.Fprintf(w, "DEFENSE STUDY: shallow RLL vs depth-targeted RLL-deep under StatSAT (profile %s)\n", p.Name)
 	fmt.Fprintf(w, "%-10s %6s %9s %5s %9s %6s %5s %6s\n",

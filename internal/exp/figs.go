@@ -160,7 +160,7 @@ func Ablations(ctx context.Context, p Profile, w io.Writer) ([]AblationRow, erro
 		{"no-duplication", func(_ *Profile, _ *float64, _ *float64, ni *int, _ *int) { *ni = 1 }},
 		{"single-key-BER", func(_ *Profile, _ *float64, _ *float64, _ *int, ns *int) { *ns = 1 }},
 	}
-	// One scheduler job per variant, all sharing the warmed workload.
+	// One scheduler job per variant, all sharing one workload.
 	rows := make([]AblationRow, len(variants))
 	emitted := 0
 	err = runOrdered(ctx, p.workers(), len(variants), func(i int) error {

@@ -67,13 +67,6 @@ func BuildWorkload(p Profile, name string) (Workload, error) {
 	if err != nil {
 		return Workload{}, fmt.Errorf("exp: locking %s: %w", name, err)
 	}
-	// Warm the lazily built topological-order and evaluation-schedule
-	// caches now (NumLogicOps compiles the schedule, which builds the
-	// order): attack runs on different scheduler workers share the
-	// circuit read-only, and these caches are the only fields
-	// evaluation would otherwise write.
-	orig.NumLogicOps()
-	l.Circuit.NumLogicOps()
 	return Workload{Bench: bm, Orig: orig, Locked: l}, nil
 }
 

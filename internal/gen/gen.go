@@ -157,8 +157,8 @@ var TableI = []Benchmark{
 // Extra holds presets beyond the paper's tables: scaling targets the
 // attack must handle even though no published experiment uses them.
 // synth100k is the ROADMAP's "100k-gate circuits at interactive
-// latency" workload — the CI smoke job and BENCH_pr7 measurements
-// build it by name.
+// latency" workload — the CI smoke job and the scaling measurements
+// in docs/PERFORMANCE.md build it by name.
 var Extra = []Benchmark{
 	{Name: "synth100k", Source: "synthetic", Inputs: 256, Gates: 100000, Outputs: 128, Seed: 100001},
 }

@@ -102,7 +102,7 @@ func TestWriteFileErrors(t *testing.T) {
 }
 
 func TestUnknownFormatErrors(t *testing.T) {
-	if _, err := Read(strings.NewReader(""), "edif"); err == nil {
+	if _, err := ReadFrom(strings.NewReader(""), "edif"); err == nil {
 		t.Error("want read error")
 	}
 	if err := Write(os.Stderr, gen.C17(), "edif"); err == nil {
@@ -127,15 +127,6 @@ func TestReadFromAndReadString(t *testing.T) {
 		if c.NumPIs() != orig.NumPIs() || c.NumPOs() != orig.NumPOs() {
 			t.Errorf("ReadFrom(%q): interface mismatch", f)
 		}
-	}
-
-	// ReadString is sugar over ReadFrom.
-	c, err := ReadString(src, Bench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.NumPIs() != orig.NumPIs() {
-		t.Error("ReadString: interface mismatch")
 	}
 
 	// Verilog through the same path.

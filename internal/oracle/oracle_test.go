@@ -321,6 +321,28 @@ func TestOracleDoesNotAliasKey(t *testing.T) {
 	}
 }
 
+// TestSignalProbsIntoZeroAllocs pins a scratch-reuse contract of
+// docs/PERFORMANCE.md §2: with a cap-sufficient dst, sampling a
+// probabilistic chip allocates nothing per call.
+func TestSignalProbsIntoZeroAllocs(t *testing.T) {
+	bm, _ := gen.ByName("c3540")
+	orig := bm.BuildScaled(8)
+	rng := rand.New(rand.NewSource(1))
+	l, err := lock.RLL(orig, 16, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := NewProbabilistic(l.Circuit, l.Key, 0.0125, 3)
+	x := orig.RandomInputs(rng)
+	dst := make([]float64, o.NumOutputs())
+	allocs := testing.AllocsPerRun(20, func() {
+		dst = SignalProbsInto(context.Background(), o, x, 500, dst)
+	})
+	if allocs != 0 {
+		t.Errorf("SignalProbsInto with a reused dst: %v allocs per call, want 0", allocs)
+	}
+}
+
 func BenchmarkProbabilisticQueryScale8(b *testing.B) {
 	bm, _ := gen.ByName("c3540")
 	orig := bm.BuildScaled(8)
