@@ -4,6 +4,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"statsat/internal/engine"
+	"statsat/internal/netio"
 )
 
 func TestLoadCircuitFromBenchmark(t *testing.T) {
@@ -56,8 +59,21 @@ func TestLoadCircuitErrors(t *testing.T) {
 	}
 }
 
+// TestFormatKey: the key text lockgen writes is bit i first and reads
+// back through netio.ParseKey, as statsat -keyfile does.
 func TestFormatKey(t *testing.T) {
-	if got := formatKey([]bool{false, true, true}); got != "011" {
-		t.Errorf("formatKey = %q", got)
+	key := []bool{false, true, true}
+	got := engine.BitString(key)
+	if got != "011" {
+		t.Errorf("BitString = %q", got)
+	}
+	back, err := netio.ParseKey(got, len(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range key {
+		if back[i] != key[i] {
+			t.Fatalf("ParseKey(%q) = %v, want %v", got, back, key)
+		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"time"
 
+	"statsat/internal/netio"
 	"statsat/internal/server"
 	"statsat/internal/trace"
 )
@@ -41,8 +42,8 @@ func runServer(ctx context.Context, co clientOptions) int {
 		return fail(err)
 	}
 	format := co.format
-	if format == "" && strings.HasSuffix(co.in, ".v") {
-		format = "verilog"
+	if format == "" {
+		format = string(netio.FormatForPath(co.in))
 	}
 	sp := server.Spec{
 		Attack:  co.attack,
@@ -255,14 +256,10 @@ func reportStatus(st *server.Status) int {
 	fmt.Printf("%s (%s on %s): %d key(s), %d iterations, %d queries\n",
 		st.Attack, st.State, st.Circuit.Name, len(out.Keys), out.Iterations, out.OracleQueries)
 	for i, k := range out.Keys {
-		marker := ""
-		if k.Correct {
-			marker = "  (CORRECT)"
-		}
 		if k.FM != 0 || k.HD != 0 {
-			fmt.Printf("key %d: FM=%.4f HD=%.4f iters=%d %s%s\n", i, k.FM, k.HD, k.Iterations, k.Key, marker)
+			fmt.Printf("key %d: FM=%.4f HD=%.4f iters=%d %s%s\n", i, k.FM, k.HD, k.Iterations, k.Key, correctMarker(k.Correct))
 		} else {
-			fmt.Printf("key %d: iters=%d %s%s\n", i, k.Iterations, k.Key, marker)
+			fmt.Printf("key %d: iters=%d %s%s\n", i, k.Iterations, k.Key, correctMarker(k.Correct))
 		}
 	}
 	if st.State != server.StateDone {

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -148,5 +150,60 @@ func TestFollowTraceRetriesConnect(t *testing.T) {
 	}
 	if *calls != 3 {
 		t.Fatalf("calls=%d, want 3", *calls)
+	}
+}
+
+// TestRunServerFormatByExtension: with -format empty, -server mode
+// names the upload's format with the same extension rule as local
+// mode (netio.FormatForPath), so a .sv, .vlg or upper-case .V netlist
+// is not sent to the daemon as .bench; an explicit -format still wins.
+func TestRunServerFormatByExtension(t *testing.T) {
+	submitted := make(chan string, 1)
+	hts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.Method == http.MethodPost && r.URL.Path == "/v1/jobs":
+			var sp server.Spec
+			if err := json.NewDecoder(r.Body).Decode(&sp); err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			submitted <- sp.Format
+			w.WriteHeader(http.StatusAccepted)
+			json.NewEncoder(w).Encode(map[string]string{"id": "j000001"})
+		case r.URL.Path == "/v1/jobs/j000001/trace":
+			w.Header().Set("Content-Type", "application/x-ndjson")
+		case r.URL.Path == "/v1/jobs/j000001":
+			json.NewEncoder(w).Encode(server.Status{ID: "j000001", State: server.StateDone})
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	defer hts.Close()
+
+	dir := t.TempDir()
+	cases := []struct {
+		file, format, want string
+	}{
+		{"c.v", "", "verilog"},
+		{"c.sv", "", "verilog"},
+		{"c.vlg", "", "verilog"},
+		{"c.V", "", "verilog"},
+		{"c.bench", "", "bench"},
+		{"c.sv", "bench", "bench"},
+	}
+	for _, tc := range cases {
+		path := filepath.Join(dir, tc.file)
+		if err := os.WriteFile(path, []byte("module m; endmodule\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		code := runServer(context.Background(), clientOptions{
+			serverURL: hts.URL, in: path, format: tc.format, key: "1", attack: "sat",
+		})
+		if code != 0 {
+			t.Fatalf("%s: runServer exit %d", tc.file, code)
+		}
+		if got := <-submitted; got != tc.want {
+			t.Errorf("%s (-format %q): submitted format %q, want %q", tc.file, tc.format, got, tc.want)
+		}
 	}
 }

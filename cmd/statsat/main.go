@@ -21,7 +21,9 @@ import (
 	"syscall"
 
 	"statsat/internal/attack"
+	"statsat/internal/circuit"
 	"statsat/internal/core"
+	"statsat/internal/engine"
 	"statsat/internal/metrics"
 	"statsat/internal/netio"
 	"statsat/internal/oracle"
@@ -63,20 +65,16 @@ func run() int {
 	if *in == "" {
 		return fail(fmt.Errorf("need -in <locked netlist>"))
 	}
+	keySrc, err := keyText(*keyStr, *keyFile)
+	if err != nil {
+		return fail(err)
+	}
 	// Ctrl-C / SIGTERM cancels the attack at the next iteration
 	// boundary; the attack then returns its best-effort partial result.
 	// In -server mode the same signal DELETEs the remote job.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if *srvURL != "" {
-		keySrc := *keyStr
-		if *keyFile != "" {
-			b, err := os.ReadFile(*keyFile)
-			if err != nil {
-				return fail(err)
-			}
-			keySrc = strings.TrimSpace(string(b))
-		}
 		epsGuess := *epsG
 		if epsGuess < 0 {
 			epsGuess = 0 // daemon defaults eps_g to the true eps
@@ -96,11 +94,11 @@ func run() int {
 	if err != nil {
 		return fail(err)
 	}
-	locked, err := netio.ReadFileStreaming(*in, forced)
+	locked, err := netio.ReadFile(*in, forced)
 	if err != nil {
 		return fail(err)
 	}
-	key, err := loadKey(*keyStr, *keyFile, locked.NumKeys())
+	key, err := netio.ParseKey(keySrc, locked.NumKeys())
 	if err != nil {
 		return fail(err)
 	}
@@ -132,7 +130,9 @@ func run() int {
 			interrupted = true
 			fmt.Fprintln(os.Stderr, "statsat: interrupted — results below are best-effort")
 		}
-		reportBaseline("standard SAT", res, locked, key)
+		if err := reportBaseline("standard SAT", res, locked, key); err != nil {
+			return fail(err)
+		}
 	case "psat":
 		res, err := attack.PSAT(ctx, locked, orc, attack.PSATOptions{
 			Ns: *ns, MaxIter: *maxIter, Seed: *seed, Tracer: tracer,
@@ -145,7 +145,9 @@ func run() int {
 			interrupted = true
 			fmt.Fprintln(os.Stderr, "statsat: interrupted — results below are best-effort")
 		}
-		reportBaseline("PSAT", res, locked, key)
+		if err := reportBaseline("PSAT", res, locked, key); err != nil {
+			return fail(err)
+		}
 	case "statsat":
 		guess := *epsG
 		if *eps > 0 && guess < 0 {
@@ -189,12 +191,8 @@ func run() int {
 			if err != nil {
 				return fail(err)
 			}
-			marker := ""
-			if eq {
-				marker = "  (CORRECT)"
-			}
 			fmt.Printf("key %d: FM=%.4f HD=%.4f iters=%d %s%s\n",
-				i, k.FM, k.HD, k.Iterations, formatKey(k.Key), marker)
+				i, k.FM, k.HD, k.Iterations, engine.BitString(k.Key), correctMarker(eq))
 		}
 	default:
 		return fail(fmt.Errorf("unknown attack %q (want statsat, psat or sat)", *mode))
@@ -230,56 +228,48 @@ func openTrace(path string, verbose bool) (trace.Tracer, func(), error) {
 	return trace.Multi(sinks...), closer, nil
 }
 
-func reportBaseline(name string, res *attack.Result, locked interface {
-	NumKeys() int
-}, _ []bool) {
+// reportBaseline prints a SAT/PSAT result in one line, marking a key
+// equivalent to the oracle's as (CORRECT) after its counters.
+func reportBaseline(name string, res *attack.Result, locked *circuit.Circuit, key []bool) error {
 	if res.Failed || res.Key == nil {
 		fmt.Printf("%s FAILED after %d iterations (%v, %d queries)\n",
 			name, res.Iterations, res.Duration, res.OracleQueries)
-		return
+		return nil
 	}
-	fmt.Printf("%s: key=%s iterations=%d time=%v queries=%d\n",
-		name, formatKey(res.Key), res.Iterations, res.Duration, res.OracleQueries)
+	eq, err := metrics.KeysEquivalent(locked, res.Key, key)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("%s: key=%s iterations=%d time=%v queries=%d%s\n",
+		name, engine.BitString(res.Key), res.Iterations, res.Duration, res.OracleQueries, correctMarker(eq))
+	return nil
 }
 
-func loadKey(keyStr, keyFile string, want int) ([]bool, error) {
-	s := keyStr
+// correctMarker is the suffix every report mode prints after a key
+// that is functionally equivalent to the correct one.
+func correctMarker(correct bool) string {
+	if correct {
+		return "  (CORRECT)"
+	}
+	return ""
+}
+
+// keyText returns the correct key's 0/1 text, from -keyfile (trimmed:
+// lockgen ends the file with a newline) or else -key. Local and
+// -server mode both need it; netio.ParseKey checks it against the
+// netlist's key inputs.
+func keyText(keyStr, keyFile string) (string, error) {
 	if keyFile != "" {
 		b, err := os.ReadFile(keyFile)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
-		s = strings.TrimSpace(string(b))
+		keyStr = strings.TrimSpace(string(b))
 	}
-	if s == "" {
-		return nil, fmt.Errorf("need -key or -keyfile with the oracle's correct key")
+	if keyStr == "" {
+		return "", fmt.Errorf("need -key or -keyfile with the oracle's correct key")
 	}
-	if len(s) != want {
-		return nil, fmt.Errorf("key has %d bits, circuit has %d key inputs", len(s), want)
-	}
-	key := make([]bool, len(s))
-	for i, c := range s {
-		switch c {
-		case '0':
-		case '1':
-			key[i] = true
-		default:
-			return nil, fmt.Errorf("key must be a 0/1 string, found %q", c)
-		}
-	}
-	return key, nil
-}
-
-func formatKey(key []bool) string {
-	b := make([]byte, len(key))
-	for i, v := range key {
-		if v {
-			b[i] = '1'
-		} else {
-			b[i] = '0'
-		}
-	}
-	return string(b)
+	return keyStr, nil
 }
 
 func fail(err error) int {

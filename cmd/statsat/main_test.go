@@ -4,7 +4,20 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"statsat/internal/engine"
+	"statsat/internal/netio"
 )
+
+// loadKey runs the CLI's key path: keyText picks -keyfile or -key, and
+// netio.ParseKey checks the text against the netlist's key width.
+func loadKey(keyStr, keyFile string, width int) ([]bool, error) {
+	s, err := keyText(keyStr, keyFile)
+	if err != nil {
+		return nil, err
+	}
+	return netio.ParseKey(s, width)
+}
 
 func TestLoadKeyFromString(t *testing.T) {
 	key, err := loadKey("1010", "", 4)
@@ -19,17 +32,22 @@ func TestLoadKeyFromString(t *testing.T) {
 	}
 }
 
+// TestLoadKeyFromFile: -keyfile wins over -key and loses lockgen's
+// trailing newline.
 func TestLoadKeyFromFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "k")
 	if err := os.WriteFile(path, []byte("011\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	key, err := loadKey("", path, 3)
+	if got, err := keyText("1010", path); err != nil || got != "011" {
+		t.Errorf("keyText(-keyfile) = %q, %v, want 011", got, err)
+	}
+	key, err := loadKey("1010", path, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if key[0] || !key[1] || !key[2] {
-		t.Fatalf("key = %v", key)
+		t.Errorf("key = %v, want 011", key)
 	}
 }
 
@@ -48,11 +66,19 @@ func TestLoadKeyErrors(t *testing.T) {
 	}
 }
 
+// TestFormatKey: the key text statsat prints is the text -key accepts.
 func TestFormatKey(t *testing.T) {
-	if got := formatKey([]bool{true, false, true}); got != "101" {
-		t.Errorf("formatKey = %q", got)
+	if got := engine.BitString([]bool{true, false, true}); got != "101" {
+		t.Errorf("BitString = %q", got)
 	}
-	if got := formatKey(nil); got != "" {
-		t.Errorf("formatKey(nil) = %q", got)
+	if got := engine.BitString(nil); got != "" {
+		t.Errorf("BitString(nil) = %q", got)
+	}
+	key, err := loadKey("101", "", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := engine.BitString(key); got != "101" {
+		t.Errorf("BitString(loadKey(101)) = %q", got)
 	}
 }

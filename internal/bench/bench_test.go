@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 
 	"statsat/internal/circuit"
@@ -95,21 +96,28 @@ v = NOT(b)
 	}
 }
 
+// TestParseGateKeywordAliases: BUFF/INV alias BUF/NOT, and keywords
+// match in any case.
 func TestParseGateKeywordAliases(t *testing.T) {
 	src := `
 INPUT(a)
+INPUT(b)
 OUTPUT(y1)
 OUTPUT(y2)
+OUTPUT(y3)
 y1 = BUFF(a)
 y2 = INV(a)
+y3 = nand(u, v)
+u = buff(a)
+v = Inv(b)
 `
 	c, err := ParseString(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := c.Eval([]bool{true}, nil, nil)
-	if out[0] != true || out[1] != false {
-		t.Errorf("BUFF/INV eval = %v", out)
+	out := c.Eval([]bool{true, true}, nil, nil)
+	if out[0] != true || out[1] != false || out[2] != true {
+		t.Errorf("BUFF/INV/lower-case eval = %v, want [true false true]", out)
 	}
 }
 
@@ -133,29 +141,60 @@ y = MUX(s, a, b)
 	}
 }
 
+// TestParseErrors: every rejection is a *ParseError on the offending
+// line (0 when only EOF reveals it, as for an undefined OUTPUT).
+// parseErrorCases are malformed netlists with the line each error is
+// reported at (0: a whole-file check such as an undefined output).
+var parseErrorCases = []struct {
+	name string
+	src  string
+	line int
+}{
+	{"unknown keyword", "INPUT(a)\nOUTPUT(y)\ny = FROB(a)\n", 3},
+	{"undefined signal", "INPUT(a)\nOUTPUT(y)\ny = AND(a, ghost)\n", 3},
+	{"undefined output", "INPUT(a)\nOUTPUT(nope)\n", 0},
+	{"bad arity not", "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NOT(a, b)\n", 4},
+	{"bad arity mux", "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = MUX(a, b)\n", 4},
+	{"garbage line", "INPUT(a)\nwhat is this\n", 2},
+	{"empty operand", "INPUT(a)\nOUTPUT(y)\ny = AND(a, )\n", 3},
+	{"trailing comma", "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b,)\n", 4},
+	{"missing paren", "INPUT a\n", 1},
+	{"empty input name", "INPUT()\n", 1},
+	{"double definition", "INPUT(a)\nINPUT(a)\n", 2},
+	{"gate redefines input", "INPUT(a)\nOUTPUT(a)\na = NOT(a)\n", 3},
+	{"cycle", "INPUT(a)\nOUTPUT(y)\ny = AND(a, z)\nz = NOT(y)\n", 3},
+	{"empty assign target", "INPUT(a)\n = NOT(a)\n", 2},
+	{"dff two inputs", "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ns = DFF(a, b)\ny = NOT(s)\n", 4},
+}
+
 func TestParseErrors(t *testing.T) {
-	cases := []struct {
-		name string
-		src  string
-	}{
-		{"unknown keyword", "INPUT(a)\nOUTPUT(y)\ny = FROB(a)\n"},
-		{"undefined signal", "INPUT(a)\nOUTPUT(y)\ny = AND(a, ghost)\n"},
-		{"undefined output", "INPUT(a)\nOUTPUT(nope)\n"},
-		{"bad arity not", "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NOT(a, b)\n"},
-		{"bad arity mux", "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = MUX(a, b)\n"},
-		{"garbage line", "INPUT(a)\nwhat is this\n"},
-		{"empty operand", "INPUT(a)\nOUTPUT(y)\ny = AND(a, )\n"},
-		{"missing paren", "INPUT a\n"},
-		{"empty input name", "INPUT()\n"},
-		{"double definition", "INPUT(a)\nINPUT(a)\n"},
-		{"gate redefines input", "INPUT(a)\nOUTPUT(a)\na = NOT(a)\n"},
-		{"cycle", "INPUT(a)\nOUTPUT(y)\ny = AND(a, z)\nz = NOT(y)\n"},
-		{"empty assign target", "INPUT(a)\n = NOT(a)\n"},
-	}
-	for _, tc := range cases {
+	for _, tc := range parseErrorCases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := ParseString(tc.src); err == nil {
-				t.Errorf("want parse error for %q", tc.src)
+			_, err := ParseString(tc.src)
+			pe, ok := err.(*ParseError)
+			if !ok {
+				t.Fatalf("error %v (%T), want *ParseError for %q", err, err, tc.src)
+			}
+			if pe.Line != tc.line {
+				t.Errorf("error line = %d, want %d (%v)", pe.Line, tc.line, pe)
+			}
+		})
+	}
+}
+
+// TestParseStreamingErrors feeds each malformed netlist through a
+// reader that returns one byte per Read, as a slow upload arrives: Parse
+// must report the same error line as for the whole text at once.
+func TestParseStreamingErrors(t *testing.T) {
+	for _, tc := range parseErrorCases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Parse(iotest.OneByteReader(strings.NewReader(tc.src)))
+			pe, ok := err.(*ParseError)
+			if !ok {
+				t.Fatalf("error %v (%T), want *ParseError for %q", err, err, tc.src)
+			}
+			if pe.Line != tc.line {
+				t.Errorf("error line = %d, want %d (%v)", pe.Line, tc.line, pe)
 			}
 		})
 	}
@@ -186,6 +225,47 @@ func TestCommentsAndBlankLines(t *testing.T) {
 	}
 	if got := c.Eval([]bool{true}, nil, nil)[0]; got != false {
 		t.Errorf("NOT(1) = %v", got)
+	}
+}
+
+// TestParseCircuitName: the name comes from the first comment that is
+// neither a statement nor a count line, and Write→Parse→Write keeps
+// both the text and the name — an unnamed circuit stays unnamed
+// instead of taking the first word of Write's statistics line.
+func TestParseCircuitName(t *testing.T) {
+	cases := []struct {
+		name string
+		src  string
+		want string
+	}{
+		{"c17 header", c17Bench, "c17"},
+		{"header before key inputs", "# lockme\nINPUT(a)\nINPUT(keyinput0)\nOUTPUT(y)\ny = XOR(a, keyinput0)\n", "lockme"},
+		{"unnamed", "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(m, n)\nm = OR(a, n)\nn = NOT(b)\n", ""},
+		{"count line only", "# 1 inputs, 1 outputs\nINPUT(a)\nOUTPUT(y)\ny = NOT(a)\n", ""},
+		{"commented statement skipped", "# y = NOT(a)\n# real\nINPUT(a)\nOUTPUT(y)\ny = NOT(a)\n", "real"},
+		{"trailing comment", "INPUT(a) # late\nOUTPUT(y)\ny = NOT(a)\n", "late"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := ParseString(tc.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.Name != tc.want {
+				t.Errorf("name = %q, want %q", c.Name, tc.want)
+			}
+			text := Format(c)
+			back, err := ParseString(text)
+			if err != nil {
+				t.Fatalf("re-parse: %v\n%s", err, text)
+			}
+			if back.Name != c.Name {
+				t.Errorf("round trip renamed %q to %q\n%s", c.Name, back.Name, text)
+			}
+			if again := Format(back); again != text {
+				t.Errorf("Write→Parse→Write changed the text:\n--- first ---\n%s--- second ---\n%s", text, again)
+			}
+		})
 	}
 }
 
@@ -273,6 +353,54 @@ func TestQuickRoundTrip(t *testing.T) {
 			t.Errorf("seed %d: %v", seed, err)
 		}
 	}
+}
+
+// TestParseRandomRoundTrip writes generated circuits and re-reads
+// them: functional equivalence on sampled inputs.
+func TestParseRandomRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 5; trial++ {
+		c := randomNetlist(rng, 12, 80)
+		got, err := ParseString(Format(c))
+		if err != nil {
+			t.Fatalf("trial %d: %v\n%s", trial, err, Format(c))
+		}
+		for sample := 0; sample < 32; sample++ {
+			x := c.RandomInputs(rng)
+			want := c.Eval(x, nil, nil)
+			have := got.Eval(x, nil, nil)
+			for i := range want {
+				if want[i] != have[i] {
+					t.Fatalf("trial %d: output %d differs on %v", trial, i, x)
+				}
+			}
+		}
+	}
+}
+
+func randomNetlist(rng *rand.Rand, nin, ngates int) *circuit.Circuit {
+	c := circuit.New("rand")
+	ids := make([]int, 0, nin+ngates)
+	for i := 0; i < nin; i++ {
+		ids = append(ids, c.AddInput(""))
+	}
+	types := []circuit.GateType{circuit.And, circuit.Nand, circuit.Or, circuit.Nor, circuit.Xor, circuit.Xnor, circuit.Not, circuit.Buf}
+	for i := 0; i < ngates; i++ {
+		ty := types[rng.Intn(len(types))]
+		n := 2
+		if ty == circuit.Not || ty == circuit.Buf {
+			n = 1
+		}
+		fan := make([]int, n)
+		for j := range fan {
+			fan[j] = ids[rng.Intn(len(ids))]
+		}
+		ids = append(ids, c.AddGate(ty, "", fan...))
+	}
+	for i := 0; i < 4; i++ {
+		c.AddOutput(ids[len(ids)-1-i], "")
+	}
+	return c
 }
 
 func TestWriteConstGates(t *testing.T) {

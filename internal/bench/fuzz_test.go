@@ -2,9 +2,12 @@ package bench
 
 import "testing"
 
-// FuzzParse exercises the .bench parser for panics and invariant
-// violations on arbitrary input. The seed corpus covers the statement
-// grammar; run `go test -fuzz=FuzzParse ./internal/bench` for a real
+// FuzzParse exercises the .bench parser — the one every tool, the
+// statsatd upload path and statsat.ParseBench use — for panics and
+// invariant violations on arbitrary input: an accepted netlist must
+// validate, and Write→Parse→Write must reproduce the same text and
+// circuit name. The seed corpus covers the statement grammar; run
+// `go test -run '^$' -fuzz '^FuzzParse$' ./internal/bench` for a real
 // fuzzing session (the seed corpus alone runs in every `go test`).
 func FuzzParse(f *testing.F) {
 	seeds := []string{
@@ -28,13 +31,20 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Parsed circuits must validate and survive a write/parse
-		// round-trip.
 		if verr := c.Validate(); verr != nil {
 			t.Fatalf("parser returned invalid circuit: %v", verr)
 		}
-		if _, rerr := ParseString(Format(c)); rerr != nil {
-			t.Fatalf("round-trip failed: %v\n%s", rerr, Format(c))
+		// Write→Parse→Write is a fixpoint: same text, same name.
+		text := Format(c)
+		back, rerr := ParseString(text)
+		if rerr != nil {
+			t.Fatalf("round-trip failed: %v\n%s", rerr, text)
+		}
+		if back.Name != c.Name {
+			t.Fatalf("round trip renamed %q to %q\n%s", c.Name, back.Name, text)
+		}
+		if again := Format(back); again != text {
+			t.Fatalf("Write→Parse→Write changed the text:\n--- first ---\n%s--- second ---\n%s", text, again)
 		}
 	})
 }

@@ -1,6 +1,9 @@
 // Package netio dispatches netlist reading/writing between the
 // supported exchange formats (.bench and structural Verilog) by file
-// extension or explicit format name. All cmd/ tools go through it.
+// extension or explicit format name, and decodes the 0/1 key string
+// that travels with a locked netlist (lockgen's -keyout file, the
+// statsat -key flag, statsatd's key field). All cmd/ tools and the
+// statsatd upload path go through it.
 package netio
 
 import (
@@ -63,23 +66,6 @@ func ReadFrom(r io.Reader, f Format) (*circuit.Circuit, error) {
 	return nil, fmt.Errorf("netio: unknown format %q", f)
 }
 
-// ReadFromStreaming is ReadFrom through the bounded-memory .bench
-// front end (bench.ParseStreaming): names interned once, gate records
-// packed into flat arrays, no per-gate string slices — the right entry
-// point for 100k-gate netlists, where the classic parser's
-// intermediate roughly doubles peak RSS. Verilog has no streaming
-// front end (its grammar needs lookahead) and falls back to the
-// regular parser.
-func ReadFromStreaming(r io.Reader, f Format) (*circuit.Circuit, error) {
-	switch f {
-	case Verilog:
-		return verilog.Parse(r)
-	case Bench, "":
-		return bench.ParseStreaming(r)
-	}
-	return nil, fmt.Errorf("netio: unknown format %q", f)
-}
-
 // Write serialises c to w in the given format.
 func Write(w io.Writer, c *circuit.Circuit, f Format) error {
 	switch f {
@@ -94,16 +80,6 @@ func Write(w io.Writer, c *circuit.Circuit, f Format) error {
 // ReadFile loads a netlist, inferring the format from the path unless
 // explicit is non-empty.
 func ReadFile(path string, explicit Format) (*circuit.Circuit, error) {
-	return readFileWith(path, explicit, ReadFrom)
-}
-
-// ReadFileStreaming is ReadFile through the bounded-memory front end
-// (see ReadFromStreaming).
-func ReadFileStreaming(path string, explicit Format) (*circuit.Circuit, error) {
-	return readFileWith(path, explicit, ReadFromStreaming)
-}
-
-func readFileWith(path string, explicit Format, read func(io.Reader, Format) (*circuit.Circuit, error)) (*circuit.Circuit, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -113,7 +89,7 @@ func readFileWith(path string, explicit Format, read func(io.Reader, Format) (*c
 	if format == "" {
 		format = FormatForPath(path)
 	}
-	c, err := read(f, format)
+	c, err := ReadFrom(f, format)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
@@ -136,4 +112,24 @@ func WriteFile(path string, c *circuit.Circuit, explicit Format) error {
 		return err
 	}
 	return f.Close()
+}
+
+// ParseKey decodes a key written as a 0/1 string, bit i first (the
+// format lockgen writes and engine.BitString renders), checking it has
+// exactly width bits — one per key input of the locked netlist.
+func ParseKey(s string, width int) ([]bool, error) {
+	if len(s) != width {
+		return nil, fmt.Errorf("key has %d bits, circuit has %d key inputs", len(s), width)
+	}
+	key := make([]bool, len(s))
+	for i, c := range s {
+		switch c {
+		case '0':
+		case '1':
+			key[i] = true
+		default:
+			return nil, fmt.Errorf("key must be a 0/1 string, found %q", c)
+		}
+	}
+	return key, nil
 }

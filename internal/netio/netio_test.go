@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"statsat/internal/engine"
 	"statsat/internal/gen"
 )
 
@@ -140,5 +141,50 @@ func TestReadFromAndReadString(t *testing.T) {
 
 	if _, err := ReadFrom(strings.NewReader(src), "edif"); err == nil {
 		t.Error("want error for unknown format")
+	}
+}
+
+// TestParseKey: the 0/1 key string decodes bit i first, its width must
+// match the key inputs, and engine.BitString renders it back unchanged.
+func TestParseKey(t *testing.T) {
+	cases := []struct {
+		name    string
+		s       string
+		width   int
+		want    []bool
+		wantErr string
+	}{
+		{"four bits", "1010", 4, []bool{true, false, true, false}, ""},
+		{"lockgen key", "011", 3, []bool{false, true, true}, ""},
+		{"empty key, no key inputs", "", 0, []bool{}, ""},
+		{"missing key", "", 3, nil, "0 bits"},
+		{"width mismatch", "10", 3, nil, "2 bits, circuit has 3"},
+		{"non-binary", "1x0", 3, nil, "0/1 string"},
+		{"trailing newline", "011\n", 4, nil, "0/1 string"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := ParseKey(tc.s, tc.width)
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("ParseKey(%q, %d) error = %v, want one containing %q", tc.s, tc.width, err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("ParseKey(%q, %d): %v", tc.s, tc.width, err)
+			}
+			if len(got) != len(tc.want) {
+				t.Fatalf("ParseKey(%q) = %v, want %v", tc.s, got, tc.want)
+			}
+			for i := range tc.want {
+				if got[i] != tc.want[i] {
+					t.Fatalf("ParseKey(%q) = %v, want %v", tc.s, got, tc.want)
+				}
+			}
+			if back := engine.BitString(got); back != tc.s {
+				t.Errorf("BitString(ParseKey(%q)) = %q", tc.s, back)
+			}
+		})
 	}
 }

@@ -231,9 +231,10 @@ func (sp *Spec) buildBenchmark() (*statsat.Circuit, []bool, error) {
 }
 
 // decodeNetlist parses an uploaded netlist straight from memory (no
-// temp files) through the streaming front end — uploads can be
-// 100k-gate netlists, and the JSON payload already holds one copy of
-// the text — and checks the supplied key against its interface.
+// temp files; the JSON payload already holds one copy of the text,
+// and uploads can be 100k-gate netlists) through the same netio
+// reader as the CLI tools, and checks the supplied key against its
+// interface.
 func (sp *Spec) decodeNetlist() (*statsat.Circuit, []bool, error) {
 	if sp.Lock != "" || sp.KeyBits != 0 || sp.Scale != 0 {
 		return nil, nil, specErrf("netlist mode does not take lock, key_bits or scale fields")
@@ -242,37 +243,19 @@ func (sp *Spec) decodeNetlist() (*statsat.Circuit, []bool, error) {
 	if err != nil {
 		return nil, nil, specErrf("%v", err)
 	}
-	locked, err := netio.ReadFromStreaming(strings.NewReader(sp.Netlist), format)
+	locked, err := netio.ReadFrom(strings.NewReader(sp.Netlist), format)
 	if err != nil {
 		return nil, nil, specErrf("decoding netlist: %v", err)
 	}
 	if locked.NumKeys() == 0 {
 		return nil, nil, specErrf("uploaded netlist %q has no key inputs (keyinput*)", locked.Name)
 	}
-	key, err := parseKeyBits(sp.Key, locked.NumKeys())
+	if sp.Key == "" {
+		return nil, nil, specErrf("netlist mode needs the oracle's correct key (key field)")
+	}
+	key, err := netio.ParseKey(sp.Key, locked.NumKeys())
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, specErrf("%v", err)
 	}
 	return locked, key, nil
-}
-
-// parseKeyBits decodes a 0/1 key string of the expected width.
-func parseKeyBits(s string, want int) ([]bool, error) {
-	if s == "" {
-		return nil, specErrf("netlist mode needs the oracle's correct key (key field)")
-	}
-	if len(s) != want {
-		return nil, specErrf("key has %d bits, circuit has %d key inputs", len(s), want)
-	}
-	key := make([]bool, len(s))
-	for i, c := range s {
-		switch c {
-		case '0':
-		case '1':
-			key[i] = true
-		default:
-			return nil, specErrf("key must be a 0/1 string, found %q", c)
-		}
-	}
-	return key, nil
 }

@@ -65,7 +65,7 @@ func Parse(r io.Reader) (*circuit.Circuit, error) {
 	var (
 		inputs  []string
 		outputs []string
-		gates   []rawGate
+		gates   []gateStmt
 	)
 	declared := map[string]bool{}
 	for _, st := range stmts {
@@ -89,7 +89,7 @@ func Parse(r io.Reader) (*circuit.Circuit, error) {
 				}
 			}
 		case "assign":
-			g, err := parseAssign(st)
+			g, err := parseContAssign(st)
 			if err != nil {
 				return nil, err
 			}
@@ -149,7 +149,7 @@ func Parse(r io.Reader) (*circuit.Circuit, error) {
 	}
 	for len(pending) > 0 {
 		progressed := false
-		var next []rawGate
+		var next []gateStmt
 		for _, g := range pending {
 			ready := true
 			for _, a := range g.args {
@@ -214,7 +214,7 @@ func ParseString(s string) (*circuit.Circuit, error) {
 	return Parse(strings.NewReader(s))
 }
 
-type rawGate struct {
+type gateStmt struct {
 	out  string
 	typ  circuit.GateType
 	args []string
@@ -302,45 +302,45 @@ func splitNames(s string) []string {
 }
 
 // parseGateInst parses "and g1 (out, a, b)" or "and (out, a)".
-func parseGateInst(st, kw string, ty circuit.GateType) (rawGate, error) {
+func parseGateInst(st, kw string, ty circuit.GateType) (gateStmt, error) {
 	open := strings.IndexByte(st, '(')
 	close := strings.LastIndexByte(st, ')')
 	if open < 0 || close < open {
-		return rawGate{}, &ParseError{st, "malformed gate instantiation"}
+		return gateStmt{}, &ParseError{st, "malformed gate instantiation"}
 	}
 	ports := splitNames(st[open+1 : close])
 	if len(ports) < 2 {
-		return rawGate{}, &ParseError{st, "gate needs an output and at least one input"}
+		return gateStmt{}, &ParseError{st, "gate needs an output and at least one input"}
 	}
 	for _, p := range ports {
 		if p == "" {
-			return rawGate{}, &ParseError{st, "empty port"}
+			return gateStmt{}, &ParseError{st, "empty port"}
 		}
 	}
 	out, args := ports[0], ports[1:]
 	if n, min, max := len(args), ty.MinFanin(), ty.MaxFanin(); n < min || (max >= 0 && n > max) {
-		return rawGate{}, &ParseError{st, fmt.Sprintf("%s with %d inputs", kw, n)}
+		return gateStmt{}, &ParseError{st, fmt.Sprintf("%s with %d inputs", kw, n)}
 	}
-	return rawGate{out: out, typ: ty, args: args, stmt: st}, nil
+	return gateStmt{out: out, typ: ty, args: args, stmt: st}, nil
 }
 
-// parseAssign handles "assign y = x" and "assign y = 1'b0/1'b1" (the
+// parseContAssign handles "assign y = x" and "assign y = 1'b0/1'b1" (the
 // forms ISCAS-converted netlists use); anything else is rejected.
-func parseAssign(st string) (rawGate, error) {
+func parseContAssign(st string) (gateStmt, error) {
 	body := strings.TrimSpace(strings.TrimPrefix(st, "assign"))
 	eq := strings.IndexByte(body, '=')
 	if eq < 0 {
-		return rawGate{}, &ParseError{st, "assign without '='"}
+		return gateStmt{}, &ParseError{st, "assign without '='"}
 	}
 	lhs := strings.TrimSpace(body[:eq])
 	rhs := strings.TrimSpace(body[eq+1:])
 	if lhs == "" || rhs == "" {
-		return rawGate{}, &ParseError{st, "malformed assign"}
+		return gateStmt{}, &ParseError{st, "malformed assign"}
 	}
 	if strings.ContainsAny(rhs, "&|^~?(") {
-		return rawGate{}, &ParseError{st, "behavioural assign expressions are not supported"}
+		return gateStmt{}, &ParseError{st, "behavioural assign expressions are not supported"}
 	}
-	return rawGate{out: lhs, typ: circuit.Buf, args: []string{rhs}, stmt: st}, nil
+	return gateStmt{out: lhs, typ: circuit.Buf, args: []string{rhs}, stmt: st}, nil
 }
 
 func keySuffix(name string) int {
