@@ -593,14 +593,17 @@ func (k *KeySolver) EnumerateKeys(ctx context.Context, max int) [][]bool {
 	if max <= 0 {
 		return nil
 	}
+	if k.scratch == nil {
+		k.scratch = &Scratch{}
+	}
 	act := FreshLit(k.S)
 	var keys [][]bool
 	for len(keys) < max && k.S.SolveCtx(ctx, act) == sat.Sat {
 		key := k.Key()
 		keys = append(keys, key)
-		// Block this key while act holds.
-		block := make([]sat.Lit, 0, len(k.Keys)+1)
-		block = append(block, act.Not())
+		// Block this key while act holds. The solver copies the
+		// clause, so the scratch buffer is reused for every key.
+		block := append(k.scratch.lits[:0], act.Not())
 		for i, l := range k.Keys {
 			if key[i] {
 				block = append(block, l.Not())
@@ -608,6 +611,7 @@ func (k *KeySolver) EnumerateKeys(ctx context.Context, max int) [][]bool {
 				block = append(block, l)
 			}
 		}
+		k.scratch.lits = block
 		k.S.AddClause(block...)
 	}
 	// Retire the blocking clauses permanently.

@@ -111,7 +111,7 @@ func (s *Solver) WriteDIMACS(w io.Writer) error {
 		}
 	}
 	for _, c := range s.clauses {
-		for _, l := range c.lits {
+		for _, l := range s.lits(c) {
 			fmt.Fprintf(bw, "%s ", l)
 		}
 		fmt.Fprintln(bw, "0")

@@ -27,6 +27,7 @@ import (
 type Pool struct {
 	mu      sync.Mutex
 	entries []poolEntry
+	lits    []Lit // backing store; each entry's lits is a capped window
 	epoch   int32
 	chains  map[int][]forkPoint // instance id -> root-path fork points
 	nextSrc int
@@ -166,9 +167,12 @@ func (c *PoolClient) Export(lits []Lit, lbd, epoch int32) {
 		p.dropped++
 		return
 	}
+	start := len(p.lits)
+	p.lits = append(p.lits, lits...)
+	end := len(p.lits)
 	p.entries = append(p.entries, poolEntry{
 		src: c.src, origin: c.origin, epoch: epoch,
-		lits: append([]Lit(nil), lits...),
+		lits: p.lits[start:end:end],
 	})
 	c.exported++
 }

@@ -14,6 +14,8 @@ package sat
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 )
 
@@ -62,33 +64,27 @@ const (
 	lFalse
 )
 
-func boolToLbool(b bool) lbool {
-	if b {
-		return lTrue
-	}
-	return lFalse
-}
+// cref is a clause reference: the arena offset of the clause's header.
+type cref uint32
 
-func (b lbool) neg() lbool {
-	switch b {
-	case lTrue:
-		return lFalse
-	case lFalse:
-		return lTrue
-	}
-	return lUndef
-}
+// crefUndef is the reason of a decision, an assumption, a unit clause
+// and an unassigned variable.
+const crefUndef cref = math.MaxUint32
 
-type clause struct {
-	lits   []Lit
-	act    float32
-	lbd    int32
-	epoch  int32 // derivation watermark (see vepoch); 0 = pre-fork formula
-	learnt bool
-}
+// Arena clause layout: clauseHdr header words, then the literals
+// inline. The header words are indexed from the clause's cref.
+const (
+	hdrSize   = 0 // literal count << 1 | deleted bit
+	hdrLBD    = 1 // LBD; compaction overwrites it with the forwarding cref
+	hdrEpoch  = 2 // derivation watermark (see vepoch); 0 = pre-fork formula
+	hdrAct    = 3 // activity, float32 bits
+	clauseHdr = 4
+)
 
+// watcher is one entry of a literal's watch list. It holds no pointer,
+// so watch lists are neither scanned by the GC nor write-barriered.
 type watcher struct {
-	c       *clause
+	c       cref
 	blocker Lit
 }
 
@@ -118,13 +114,15 @@ func (s Status) String() string {
 
 // Solver is a CDCL SAT solver. The zero value is not usable; call New.
 type Solver struct {
-	clauses []*clause // problem clauses
-	learnts []*clause // learnt clauses
+	arena   []Lit  // every clause: header, then literals (see clauseHdr)
+	wasted  int    // arena words held by deleted clauses
+	clauses []cref // problem clauses
+	learnts []cref // learnt clauses
 	watches [][]watcher
 
-	assigns  []lbool
+	vals     []lbool // literal-indexed: vals[l] is the value of l
 	level    []int32
-	reason   []*clause
+	reason   []cref
 	trail    []Lit
 	trailLim []int
 	qhead    int
@@ -159,18 +157,24 @@ type Solver struct {
 
 	// Clause journal for portfolio helper sync: when enabled, every
 	// AddClause call is recorded verbatim (pre-simplification) with its
-	// epoch so a lagging clone can replay it. Not copied by Clone.
+	// epoch so a lagging clone can replay it. Entries' literals are
+	// capped windows of logLits. Not copied by Clone.
 	logging bool
 	log     []LogEntry
+	logLits []Lit
 
 	okay bool // false once a top-level conflict is established
 
 	// Luby restart state.
 	restartBase int
 
-	// analyze scratch.
+	// Scratch reused across calls: conflict analysis, LBD levels and
+	// clause normalisation.
 	seen       []byte
 	analyzeBuf []Lit
+	toClear    []Var
+	levelSeen  []bool
+	addBuf     []Lit
 
 	// Statistics.
 	Stats Statistics
@@ -328,7 +332,7 @@ func (s *Solver) LogLen() int { return len(s.log) }
 func (s *Solver) LogSince(n int) []LogEntry { return s.log[n:] }
 
 // NumVars returns the number of allocated variables.
-func (s *Solver) NumVars() int { return len(s.assigns) }
+func (s *Solver) NumVars() int { return len(s.level) }
 
 // NumClauses returns the number of problem clauses retained.
 func (s *Solver) NumClauses() int { return len(s.clauses) }
@@ -341,24 +345,95 @@ func (s *Solver) NumLearnts() int { return len(s.learnts) }
 // top-level simplification) plus the root-level unit assignments.
 // Intended for tooling and verification, not hot paths.
 func (s *Solver) Clauses() [][]Lit {
+	n := len(s.trail)
+	for _, c := range s.clauses {
+		n += s.clauseLen(c)
+	}
+	flat := make([]Lit, 0, n)
 	out := make([][]Lit, 0, len(s.clauses)+8)
+	add := func(lits ...Lit) {
+		start := len(flat)
+		flat = append(flat, lits...)
+		out = append(out, flat[start:len(flat):len(flat)])
+	}
 	for _, l := range s.trail {
 		if s.level[l.Var()] == 0 {
-			out = append(out, []Lit{l})
+			add(l)
 		}
 	}
 	for _, c := range s.clauses {
-		out = append(out, append([]Lit(nil), c.lits...))
+		add(s.lits(c)...)
 	}
 	return out
 }
 
+// alloc appends a clause to the arena and returns its reference.
+func (s *Solver) alloc(lits []Lit, lbd, epoch int32) cref {
+	c := cref(len(s.arena))
+	s.arena = append(s.arena, Lit(len(lits)<<1), Lit(lbd), Lit(epoch), 0)
+	s.arena = append(s.arena, lits...)
+	return c
+}
+
+// free marks a detached clause deleted; compact reclaims its words.
+func (s *Solver) free(c cref) {
+	s.arena[c+hdrSize] |= 1
+	s.wasted += clauseHdr + s.clauseLen(c)
+}
+
+func (s *Solver) clauseLen(c cref) int { return int(s.arena[c+hdrSize] >> 1) }
+
+// lits returns the clause's literals in place: swaps write the arena.
+func (s *Solver) lits(c cref) []Lit {
+	b := int(c) + clauseHdr
+	e := b + s.clauseLen(c)
+	return s.arena[b:e:e]
+}
+
+func (s *Solver) clauseLBD(c cref) int32   { return int32(s.arena[c+hdrLBD]) }
+func (s *Solver) clauseEpoch(c cref) int32 { return int32(s.arena[c+hdrEpoch]) }
+
+func (s *Solver) clauseAct(c cref) float32 {
+	return math.Float32frombits(uint32(s.arena[c+hdrAct]))
+}
+
+func (s *Solver) setClauseAct(c cref, a float32) {
+	s.arena[c+hdrAct] = Lit(math.Float32bits(a))
+}
+
+// compact moves the live clauses into a fresh arena, problem clauses
+// then learnts in list order, and forwards every watcher and reason
+// through the forwarding cref left in each old header. Clause lists
+// and watch lists keep their order, so search is unchanged.
+func (s *Solver) compact() {
+	fresh := make([]Lit, 0, len(s.arena)-s.wasted)
+	for _, cs := range [][]cref{s.clauses, s.learnts} {
+		for i, c := range cs {
+			nc := cref(len(fresh))
+			fresh = append(fresh, s.arena[c:int(c)+clauseHdr+s.clauseLen(c)]...)
+			s.arena[c+hdrLBD] = Lit(nc)
+			cs[i] = nc
+		}
+	}
+	for _, ws := range s.watches {
+		for i := range ws {
+			ws[i].c = cref(s.arena[ws[i].c+hdrLBD])
+		}
+	}
+	for _, l := range s.trail {
+		if r := s.reason[l.Var()]; r != crefUndef {
+			s.reason[l.Var()] = cref(s.arena[r+hdrLBD])
+		}
+	}
+	s.arena, s.wasted = fresh, 0
+}
+
 // NewVar allocates a fresh variable and returns it.
 func (s *Solver) NewVar() Var {
-	v := Var(len(s.assigns))
-	s.assigns = append(s.assigns, lUndef)
+	v := Var(len(s.level))
+	s.vals = append(s.vals, lUndef, lUndef)
 	s.level = append(s.level, 0)
-	s.reason = append(s.reason, nil)
+	s.reason = append(s.reason, crefUndef)
 	s.activity = append(s.activity, 0)
 	s.phase = append(s.phase, s.defaultPhase)
 	s.vepoch = append(s.vepoch, 0)
@@ -370,22 +445,11 @@ func (s *Solver) NewVar() Var {
 
 // NewVars allocates n fresh variables and returns the first.
 func (s *Solver) NewVars(n int) Var {
-	first := Var(len(s.assigns))
+	first := Var(len(s.level))
 	for i := 0; i < n; i++ {
 		s.NewVar()
 	}
 	return first
-}
-
-func (s *Solver) litValue(l Lit) lbool {
-	v := s.assigns[l.Var()]
-	if v == lUndef {
-		return lUndef
-	}
-	if l.Neg() {
-		return v.neg()
-	}
-	return v
 }
 
 // Okay reports whether the solver is still consistent at the top level
@@ -397,7 +461,10 @@ func (s *Solver) Okay() bool { return s.okay }
 // root level first. Returns false if the solver became inconsistent.
 func (s *Solver) AddClause(lits ...Lit) bool {
 	if s.logging {
-		s.log = append(s.log, LogEntry{Lits: append([]Lit(nil), lits...), Epoch: s.epoch})
+		start := len(s.logLits)
+		s.logLits = append(s.logLits, lits...)
+		end := len(s.logLits)
+		s.log = append(s.log, LogEntry{Lits: s.logLits[start:end:end], Epoch: s.epoch})
 	}
 	return s.addClauseEpoch(lits, s.epoch, false)
 }
@@ -421,12 +488,13 @@ func (s *Solver) addClauseEpoch(in []Lit, baseEpoch int32, learnt bool) bool {
 	// those root facts, so soundness in a sibling requires all of them.
 	wm := baseEpoch
 	// Sort and dedup; drop tautologies and false literals.
-	lits := append([]Lit(nil), in...)
-	sort.Slice(lits, func(i, j int) bool { return lits[i] < lits[j] })
+	lits := append(s.addBuf[:0], in...)
+	s.addBuf = lits
+	slices.Sort(lits)
 	out := lits[:0]
 	var prev Lit = -1
 	for _, l := range lits {
-		if int(l.Var()) >= len(s.assigns) {
+		if int(l.Var()) >= s.NumVars() {
 			panic(fmt.Sprintf("sat: clause uses unallocated variable %d", l.Var()))
 		}
 		if l == prev {
@@ -435,7 +503,7 @@ func (s *Solver) addClauseEpoch(in []Lit, baseEpoch int32, learnt bool) bool {
 		if prev >= 0 && l == prev.Not() && l.Var() == prev.Var() {
 			return true // tautology: x ∨ ¬x
 		}
-		switch s.litValue(l) {
+		switch s.vals[l] {
 		case lTrue:
 			if s.level[l.Var()] == 0 {
 				return true // satisfied at root
@@ -458,21 +526,22 @@ func (s *Solver) addClauseEpoch(in []Lit, baseEpoch int32, learnt bool) bool {
 		return false
 	case 1:
 		s.pendingEpoch = wm
-		if !s.enqueue(out[0], nil) {
+		if !s.enqueue(out[0], crefUndef) {
 			s.okay = false
 			return false
 		}
-		if s.propagate() != nil {
+		if s.propagate() != crefUndef {
 			s.okay = false
 			return false
 		}
 		return true
 	}
-	c := &clause{lits: out, epoch: wm, learnt: learnt}
+	var c cref
 	if learnt {
-		c.lbd = int32(len(out)) // pessimistic: imported clauses are reducible
+		c = s.alloc(out, int32(len(out)), wm) // pessimistic LBD: imported clauses are reducible
 		s.learnts = append(s.learnts, c)
 	} else {
+		c = s.alloc(out, 0, wm)
 		s.clauses = append(s.clauses, c)
 	}
 	s.attach(c)
@@ -490,7 +559,7 @@ func (s *Solver) importPending() bool {
 	for _, im := range s.importer() {
 		ok := true
 		for _, l := range im.Lits {
-			if int(l.Var()) >= len(s.assigns) {
+			if int(l.Var()) >= s.NumVars() {
 				ok = false // publisher's var space ran ahead of ours; skip
 				break
 			}
@@ -506,17 +575,19 @@ func (s *Solver) importPending() bool {
 	return true
 }
 
-func (s *Solver) attach(c *clause) {
-	s.watches[c.lits[0].Not()] = append(s.watches[c.lits[0].Not()], watcher{c, c.lits[1]})
-	s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{c, c.lits[0]})
+func (s *Solver) attach(c cref) {
+	lits := s.lits(c)
+	s.watches[lits[0].Not()] = append(s.watches[lits[0].Not()], watcher{c, lits[1]})
+	s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], watcher{c, lits[0]})
 }
 
-func (s *Solver) detach(c *clause) {
-	s.removeWatch(c.lits[0].Not(), c)
-	s.removeWatch(c.lits[1].Not(), c)
+func (s *Solver) detach(c cref) {
+	lits := s.lits(c)
+	s.removeWatch(lits[0].Not(), c)
+	s.removeWatch(lits[1].Not(), c)
 }
 
-func (s *Solver) removeWatch(l Lit, c *clause) {
+func (s *Solver) removeWatch(l Lit, c cref) {
 	ws := s.watches[l]
 	for i := range ws {
 		if ws[i].c == c {
@@ -529,15 +600,16 @@ func (s *Solver) removeWatch(l Lit, c *clause) {
 
 func (s *Solver) decisionLevel() int32 { return int32(len(s.trailLim)) }
 
-func (s *Solver) enqueue(l Lit, from *clause) bool {
-	switch s.litValue(l) {
+func (s *Solver) enqueue(l Lit, from cref) bool {
+	switch s.vals[l] {
 	case lTrue:
 		return true
 	case lFalse:
 		return false
 	}
 	v := l.Var()
-	s.assigns[v] = boolToLbool(!l.Neg())
+	s.vals[l] = lTrue
+	s.vals[l.Not()] = lFalse
 	s.level[v] = s.decisionLevel()
 	s.reason[v] = from
 	if len(s.trailLim) == 0 {
@@ -547,9 +619,9 @@ func (s *Solver) enqueue(l Lit, from *clause) bool {
 		// root enqueues (unit clauses, unit learnts) pass their epoch
 		// via pendingEpoch.
 		e := s.pendingEpoch
-		if from != nil {
-			e = from.epoch
-			for _, q := range from.lits {
+		if from != crefUndef {
+			e = s.clauseEpoch(from)
+			for _, q := range s.lits(from) {
 				if q.Var() != v {
 					if ve := s.vepoch[q.Var()]; ve > e {
 						e = ve
@@ -563,40 +635,43 @@ func (s *Solver) enqueue(l Lit, from *clause) bool {
 	return true
 }
 
-func (s *Solver) propagate() *clause {
+func (s *Solver) propagate() cref {
+	vals := s.vals
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
 		s.Stats.Propagations++
+		falseLit := p.Not()
 		ws := s.watches[p]
 		i, j := 0, 0
-		var confl *clause
+		confl := crefUndef
 	outer:
 		for i < len(ws) {
 			w := ws[i]
-			if s.litValue(w.blocker) == lTrue {
+			if vals[w.blocker] == lTrue {
 				ws[j] = w
 				i++
 				j++
 				continue
 			}
 			c := w.c
+			lits := s.lits(c)
 			// Ensure the false literal is lits[1].
-			if c.lits[0] == p.Not() {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if lits[0] == falseLit {
+				lits[0], lits[1] = lits[1], lits[0]
 			}
-			first := c.lits[0]
-			if first != w.blocker && s.litValue(first) == lTrue {
+			first := lits[0]
+			if first != w.blocker && vals[first] == lTrue {
 				ws[j] = watcher{c, first}
 				i++
 				j++
 				continue
 			}
 			// Look for a new literal to watch.
-			for k := 2; k < len(c.lits); k++ {
-				if s.litValue(c.lits[k]) != lFalse {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{c, first})
+			for k := 2; k < len(lits); k++ {
+				if vals[lits[k]] != lFalse {
+					lits[1], lits[k] = lits[k], lits[1]
+					s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], watcher{c, first})
 					i++
 					continue outer
 				}
@@ -617,11 +692,11 @@ func (s *Solver) propagate() *clause {
 			j++
 		}
 		s.watches[p] = ws[:j]
-		if confl != nil {
+		if confl != crefUndef {
 			return confl
 		}
 	}
-	return nil
+	return crefUndef
 }
 
 func (s *Solver) cancelUntil(level int32) {
@@ -632,9 +707,10 @@ func (s *Solver) cancelUntil(level int32) {
 	for i := len(s.trail) - 1; i >= limit; i-- {
 		l := s.trail[i]
 		v := l.Var()
-		s.phase[v] = s.assigns[v]
-		s.assigns[v] = lUndef
-		s.reason[v] = nil
+		s.phase[v] = s.vals[PosLit(v)]
+		s.vals[l] = lUndef
+		s.vals[l.Not()] = lUndef
+		s.reason[v] = crefUndef
 		if !s.order.inHeap(v) {
 			s.order.push(v, &s.activity)
 		}
@@ -657,19 +733,21 @@ func (s *Solver) bumpVar(v Var) {
 	}
 }
 
-func (s *Solver) bumpClause(c *clause) {
-	c.act += float32(s.claInc)
-	if c.act > 1e20 {
+func (s *Solver) bumpClause(c cref) {
+	a := s.clauseAct(c) + float32(s.claInc)
+	s.setClauseAct(c, a)
+	if a > 1e20 {
 		for _, lc := range s.learnts {
-			lc.act *= 1e-20
+			s.setClauseAct(lc, s.clauseAct(lc)*1e-20)
 		}
 		s.claInc *= 1e-20
 	}
 }
 
 // analyze performs 1-UIP conflict analysis and returns the learnt
-// clause (asserting literal first) and the backtrack level.
-func (s *Solver) analyze(confl *clause) ([]Lit, int32) {
+// clause (asserting literal first) and the backtrack level. The clause
+// aliases a scratch buffer that the next analyze overwrites.
+func (s *Solver) analyze(confl cref) ([]Lit, int32) {
 	learnt := s.analyzeBuf[:0]
 	learnt = append(learnt, 0) // placeholder for asserting literal
 	var p Lit = -1
@@ -678,15 +756,16 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int32) {
 	s.analyzeWM = 0
 	for {
 		s.bumpClause(confl)
-		if confl.epoch > s.analyzeWM {
-			s.analyzeWM = confl.epoch
+		if e := s.clauseEpoch(confl); e > s.analyzeWM {
+			s.analyzeWM = e
 		}
 		start := 0
 		if p != -1 {
 			start = 1
 		}
-		for k := start; k < len(confl.lits); k++ {
-			q := confl.lits[k]
+		lits := s.lits(confl)
+		for k := start; k < len(lits); k++ {
+			q := lits[k]
 			v := q.Var()
 			if s.seen[v] == 0 && s.level[v] > 0 {
 				s.seen[v] = 1
@@ -723,10 +802,10 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int32) {
 	// the rest of the clause through their reason clauses). Record all
 	// marked variables first so seen[] can be fully cleared afterwards
 	// even for the literals the minimisation drops.
-	toClear := make([]Var, len(learnt))
-	for i, l := range learnt {
+	toClear := s.toClear[:0]
+	for _, l := range learnt {
 		s.seen[l.Var()] = 1
-		toClear[i] = l.Var()
+		toClear = append(toClear, l.Var())
 	}
 	j := 1
 	for i := 1; i < len(learnt); i++ {
@@ -752,9 +831,9 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int32) {
 	for _, v := range toClear {
 		s.seen[v] = 0
 	}
-	s.analyzeBuf = learnt[:0]
-	out := append([]Lit(nil), minimised...)
-	return out, btLevel
+	s.toClear = toClear
+	s.analyzeBuf = learnt
+	return minimised, btLevel
 }
 
 // redundant reports whether literal l in a learnt clause is implied by
@@ -763,11 +842,11 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int32) {
 // any root facts it mentions), so the watermark absorbs their epochs.
 func (s *Solver) redundant(l Lit) bool {
 	r := s.reason[l.Var()]
-	if r == nil {
+	if r == crefUndef {
 		return false
 	}
-	wm := r.epoch
-	for _, q := range r.lits {
+	wm := s.clauseEpoch(r)
+	for _, q := range s.lits(r) {
 		if q.Var() == l.Var() {
 			continue
 		}
@@ -787,12 +866,24 @@ func (s *Solver) redundant(l Lit) bool {
 	return true
 }
 
+// computeLBD counts the distinct decision levels of lits, marking them
+// in levelSeen and clearing the marks again.
 func (s *Solver) computeLBD(lits []Lit) int32 {
-	seenLevels := map[int32]struct{}{}
+	n := int32(0)
 	for _, l := range lits {
-		seenLevels[s.level[l.Var()]] = struct{}{}
+		lv := int(s.level[l.Var()])
+		if lv >= len(s.levelSeen) {
+			s.levelSeen = append(s.levelSeen, make([]bool, lv+1-len(s.levelSeen))...)
+		}
+		if !s.levelSeen[lv] {
+			s.levelSeen[lv] = true
+			n++
+		}
 	}
-	return int32(len(seenLevels))
+	for _, l := range lits {
+		s.levelSeen[s.level[l.Var()]] = false
+	}
+	return n
 }
 
 func (s *Solver) recordLearnt(lits []Lit, btLevel int32) bool {
@@ -805,13 +896,13 @@ func (s *Solver) recordLearnt(lits []Lit, btLevel int32) bool {
 		return false
 	case 1:
 		s.pendingEpoch = wm
-		if !s.enqueue(lits[0], nil) {
+		if !s.enqueue(lits[0], crefUndef) {
 			s.okay = false
 			return false
 		}
 	default:
 		lbd = s.computeLBD(lits)
-		c := &clause{lits: lits, learnt: true, lbd: lbd, epoch: wm}
+		c := s.alloc(lits, lbd, wm)
 		s.learnts = append(s.learnts, c)
 		s.Stats.Learnt++
 		s.attach(c)
@@ -831,33 +922,39 @@ func (s *Solver) recordLearnt(lits []Lit, btLevel int32) bool {
 }
 
 // reduceDB removes roughly half of the learnt clauses, keeping the
-// most active / lowest-LBD ones and any currently locked clause.
+// most active / lowest-LBD ones and any currently locked clause, then
+// compacts the arena once deleted clauses hold more than half of it.
 func (s *Solver) reduceDB() {
 	sort.Slice(s.learnts, func(i, j int) bool {
-		a, b := s.learnts[i], s.learnts[j]
-		if (a.lbd <= 2) != (b.lbd <= 2) {
-			return a.lbd <= 2
+		a, b := s.clauseLBD(s.learnts[i]), s.clauseLBD(s.learnts[j])
+		if (a <= 2) != (b <= 2) {
+			return a <= 2
 		}
-		return a.act > b.act
+		return s.clauseAct(s.learnts[i]) > s.clauseAct(s.learnts[j])
 	})
 	keep := len(s.learnts) / 2
 	kept := s.learnts[:0]
 	for i, c := range s.learnts {
-		locked := len(c.lits) > 0 && s.reason[c.lits[0].Var()] == c && s.litValue(c.lits[0]) == lTrue
-		if i < keep || locked || len(c.lits) <= 2 {
+		lits := s.lits(c)
+		locked := s.reason[lits[0].Var()] == c && s.vals[lits[0]] == lTrue
+		if i < keep || locked || len(lits) <= 2 {
 			kept = append(kept, c)
 		} else {
 			s.detach(c)
+			s.free(c)
 			s.Stats.Removed++
 		}
 	}
 	s.learnts = kept
+	if 2*s.wasted > len(s.arena) {
+		s.compact()
+	}
 }
 
 func (s *Solver) pickBranchVar() (Var, bool) {
 	for s.order.size() > 0 {
 		v := s.order.pop(&s.activity)
-		if s.assigns[v] == lUndef {
+		if s.vals[PosLit(v)] == lUndef {
 			return v, true
 		}
 	}
@@ -912,7 +1009,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		return Unsat
 	}
 	s.cancelUntil(0)
-	if s.propagate() != nil {
+	if s.propagate() != crefUndef {
 		s.okay = false
 		return Unsat
 	}
@@ -928,7 +1025,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 
 	for {
 		confl := s.propagate()
-		if confl != nil {
+		if confl != crefUndef {
 			s.Stats.Conflicts++
 			conflictsSinceRestart++
 			if s.decisionLevel() == 0 {
@@ -938,7 +1035,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			// Learn and backjump. Backjumping below the assumption
 			// levels is fine: the decision loop re-asserts the
 			// assumptions; a genuinely inconsistent assumption then
-			// shows up as litValue == lFalse at its decision point.
+			// shows up as a false literal at its decision point.
 			learnt, btLevel := s.analyze(confl)
 			if !s.recordLearnt(learnt, btLevel) {
 				return Unsat
@@ -982,7 +1079,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		// Assumption decisions first.
 		if int(s.decisionLevel()) < len(assumptions) {
 			a := assumptions[s.decisionLevel()]
-			switch s.litValue(a) {
+			switch s.vals[a] {
 			case lTrue:
 				// Already satisfied: open an empty decision level so
 				// the level↔assumption-index mapping stays aligned.
@@ -993,7 +1090,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 				return Unsat
 			}
 			s.trailLim = append(s.trailLim, len(s.trail))
-			if !s.enqueue(a, nil) {
+			if !s.enqueue(a, crefUndef) {
 				s.cancelUntil(0)
 				return Unsat
 			}
@@ -1011,7 +1108,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		s.trailLim = append(s.trailLim, len(s.trail))
 		ph := s.phase[v]
 		lit := MkLit(v, ph != lTrue)
-		s.enqueue(lit, nil)
+		s.enqueue(lit, crefUndef)
 	}
 }
 
@@ -1024,11 +1121,14 @@ func (s *Solver) countAssumptionLevels(assumptions []Lit) int {
 }
 
 func (s *Solver) saveModel() {
-	if cap(s.model) < len(s.assigns) {
-		s.model = make([]lbool, len(s.assigns))
+	n := s.NumVars()
+	if cap(s.model) < n {
+		s.model = make([]lbool, n)
 	}
-	s.model = s.model[:len(s.assigns)]
-	copy(s.model, s.assigns)
+	s.model = s.model[:n]
+	for v := range s.model {
+		s.model[v] = s.vals[PosLit(Var(v))]
+	}
 }
 
 // ModelValue returns the last model's value of v. Only meaningful
@@ -1052,9 +1152,10 @@ func (s *Solver) ModelLit(l Lit) bool {
 // Clone returns a deep copy of the solver: clauses, learnt clauses,
 // activities, phases, epochs and statistics. The clone can evolve
 // completely independently (StatSAT instance duplication relies on
-// this). Portfolio bindings — exporter, importer, clause journal — are
-// deliberately NOT copied: pool membership is per-solver and each
-// clone that wants one registers its own (docs/SOLVER.md).
+// this). Clause references are arena offsets, so the copy is a few
+// flat slice copies. Portfolio bindings — exporter, importer, clause
+// journal — are deliberately NOT copied: pool membership is per-solver
+// and each clone that wants one registers its own (docs/SOLVER.md).
 func (s *Solver) Clone() *Solver {
 	s.cancelUntil(0)
 	n := New()
@@ -1067,48 +1168,34 @@ func (s *Solver) Clone() *Solver {
 	n.ConflictBudget = s.ConflictBudget
 	n.Stats = s.Stats
 
-	n.assigns = append([]lbool(nil), s.assigns...)
-	n.level = append([]int32(nil), s.level...)
-	n.trail = append([]Lit(nil), s.trail...)
+	n.arena = slices.Clone(s.arena)
+	n.wasted = s.wasted
+	n.clauses = slices.Clone(s.clauses)
+	n.learnts = slices.Clone(s.learnts)
+	n.vals = slices.Clone(s.vals)
+	n.level = slices.Clone(s.level)
+	n.reason = slices.Clone(s.reason)
+	n.trail = slices.Clone(s.trail)
 	n.qhead = s.qhead
-	n.activity = append([]float64(nil), s.activity...)
-	n.phase = append([]lbool(nil), s.phase...)
-	n.vepoch = append([]int32(nil), s.vepoch...)
+	n.activity = slices.Clone(s.activity)
+	n.phase = slices.Clone(s.phase)
+	n.vepoch = slices.Clone(s.vepoch)
 	n.seen = make([]byte, len(s.seen))
-	n.model = append([]lbool(nil), s.model...)
+	n.model = slices.Clone(s.model)
 
-	// Deep-copy clauses, tracking the old→new mapping for watches and
-	// reasons.
-	remap := make(map[*clause]*clause, len(s.clauses)+len(s.learnts))
-	cp := func(c *clause) *clause {
-		nc := &clause{lits: append([]Lit(nil), c.lits...), act: c.act, lbd: c.lbd, epoch: c.epoch, learnt: c.learnt}
-		remap[c] = nc
-		return nc
+	// All watch lists share one slab; each is capped at its length so
+	// a later append reallocates instead of running into its neighbour.
+	total := 0
+	for _, ws := range s.watches {
+		total += len(ws)
 	}
-	n.clauses = make([]*clause, len(s.clauses))
-	for i, c := range s.clauses {
-		n.clauses[i] = cp(c)
-	}
-	n.learnts = make([]*clause, len(s.learnts))
-	for i, c := range s.learnts {
-		n.learnts[i] = cp(c)
-	}
+	slab := make([]watcher, total)
 	n.watches = make([][]watcher, len(s.watches))
+	off := 0
 	for i, ws := range s.watches {
-		if len(ws) == 0 {
-			continue
-		}
-		nws := make([]watcher, len(ws))
-		for j, w := range ws {
-			nws[j] = watcher{c: remap[w.c], blocker: w.blocker}
-		}
-		n.watches[i] = nws
-	}
-	n.reason = make([]*clause, len(s.reason))
-	for i, r := range s.reason {
-		if r != nil {
-			n.reason[i] = remap[r]
-		}
+		end := off + copy(slab[off:], ws)
+		n.watches[i] = slab[off:end:end]
+		off = end
 	}
 	n.order = s.order.clone()
 	return n

@@ -2,6 +2,7 @@ package sat
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -528,6 +529,24 @@ func TestCloneIndependence(t *testing.T) {
 	if c.Solve() != Sat {
 		t.Error("clone poisoned by original's clauses")
 	}
+	// A clone taken after compaction shares no storage with its
+	// parent: compacting and growing the parent leaves it intact.
+	c.compact()
+	cc := c.Clone()
+	arena := slices.Clone(cc.arena)
+	c.AddClause(NegLit(v[0]), NegLit(v[2]), PosLit(v[3]))
+	c.AddClause(NegLit(v[3]))
+	c.compact()
+	if !slices.Equal(cc.arena, arena) {
+		t.Error("clone's arena changed with its parent's")
+	}
+	if c.Solve() != Sat || c.ModelValue(v[2]) {
+		t.Error("parent: x0 ∧ ¬x3 forces ¬x2")
+	}
+	cc.AddClause(PosLit(v[3]))
+	if cc.Solve() != Sat || !cc.ModelValue(v[3]) || !cc.ModelValue(v[0]) {
+		t.Error("clone of the compacted solver broken")
+	}
 }
 
 func TestCloneAfterManyConflicts(t *testing.T) {
@@ -545,6 +564,31 @@ func TestCloneAfterManyConflicts(t *testing.T) {
 	c.AddClause(PosLit(v))
 	if c.Solve() != Sat || !c.ModelValue(v) {
 		t.Error("clone broken after growth")
+	}
+	// PHP(6,6) solves without a conflict; repeat on a formula whose
+	// search deletes learnts, compacted before the clone. A clone
+	// solved after its parent went on to Unsat must search exactly
+	// like a twin solved before.
+	r := randomFormula(rand.New(rand.NewSource(3)), 190, 426*190/100)
+	if r.Solve() != Sat || r.Stats.Conflicts < 1000 || r.wasted == 0 {
+		t.Fatalf("precondition: %+v, wasted %d", r.Stats, r.wasted)
+	}
+	r.compact()
+	d, twin := r.Clone(), r.Clone()
+	checkArena(t, d)
+	arena := slices.Clone(d.arena)
+	gt := twin.Solve()
+	r.AddClause(NegLit(Var(0)))
+	r.AddClause(PosLit(Var(0)))
+	if r.Solve() != Unsat {
+		t.Fatal("parent must be Unsat after x0 ∧ ¬x0")
+	}
+	if !slices.Equal(d.arena, arena) {
+		t.Fatal("clone's arena changed with its parent's")
+	}
+	gd := d.Solve()
+	if gd != Sat || gt != Sat || d.Stats != twin.Stats {
+		t.Errorf("clones after compaction: %v %+v vs %v %+v", gd, d.Stats, gt, twin.Stats)
 	}
 }
 
