@@ -24,9 +24,12 @@ const MaxEnumFanin = 16
 // estOp is one logic gate of the estimator's flattened schedule: the
 // gate type and output ID plus an offset into the shared flat fanin
 // array, laid out in topological order so the propagation loop
-// streams three dense arrays instead of chasing Gate pointers.
+// streams three dense arrays instead of chasing Gate pointers. A gate
+// with one or two fanins also carries its truth table: bit i of tt is
+// the output when fanin j has value bit j of i.
 type estOp struct {
 	typ  circuit.GateType
+	tt   uint8
 	out  int32
 	off  int32
 	nfan int32
@@ -61,12 +64,22 @@ func NewEstimator(c *circuit.Circuit) *Estimator {
 		if g.Type.IsInputType() {
 			continue // inputs and constants are noise-free: p stays 0
 		}
-		est.ops = append(est.ops, estOp{
+		op := estOp{
 			typ:  g.Type,
 			out:  int32(id),
 			off:  int32(len(est.fanin)),
 			nfan: int32(len(g.Fanin)),
-		})
+		}
+		if n := len(g.Fanin); n >= 1 && n <= 2 {
+			var in [2]bool
+			for i := 0; i < 1<<uint(n); i++ {
+				in[0], in[1] = i&1 == 1, i&2 == 2
+				if g.Type.Eval(in[:n]) {
+					op.tt |= 1 << uint(i)
+				}
+			}
+		}
+		est.ops = append(est.ops, op)
 		for _, f := range g.Fanin {
 			est.fanin = append(est.fanin, int32(f))
 		}
@@ -86,9 +99,6 @@ func (est *Estimator) WireErrorProbs(x, k []bool, eps float64) ([]float64, error
 	}
 	vals := c.EvalWires(x, k, est.vals)
 	p := est.p[:c.NumGates()]
-	var faninVals [MaxEnumFanin]bool
-	var faninErrs [MaxEnumFanin]float64
-	var flipped [MaxEnumFanin]bool
 	for oi := range est.ops {
 		op := &est.ops[oi]
 		id := int(op.out)
@@ -97,38 +107,96 @@ func (est *Estimator) WireErrorProbs(x, k []bool, eps float64) ([]float64, error
 			return nil, fmt.Errorf("errprop: gate %d (%s) fanin %d exceeds enumeration limit %d",
 				id, c.Gates[id].Name, n, MaxEnumFanin)
 		}
-		for i, f := range est.fanin[op.off : op.off+op.nfan] {
-			faninVals[i] = vals[f]
-			faninErrs[i] = p[f]
-		}
+		fan := est.fanin[op.off : op.off+op.nfan]
 		correct := vals[id]
 		// q = P(gate function over (possibly flipped) inputs differs
 		// from the deterministic output), enumerating flip patterns.
-		q := 0.0
-		for mask := 0; mask < 1<<uint(n); mask++ {
-			prob := 1.0
-			for i := 0; i < n; i++ {
-				if mask>>uint(i)&1 == 1 {
-					prob *= faninErrs[i]
-					flipped[i] = !faninVals[i]
-				} else {
-					prob *= 1 - faninErrs[i]
-					flipped[i] = faninVals[i]
-				}
-			}
-			//lint:ignore floateq exact-zero short-circuit: prob is a product that is 0.0 only when a factor is exactly 0, and the branch is a pure skip-work optimisation
-			if prob == 0 {
-				continue
-			}
-			if op.typ.Eval(flipped[:n]) != correct {
-				q += prob
-			}
+		// Gates with one or two fanins read the flipped output from
+		// their truth table. The pattern probabilities are the same
+		// products in the same mask order as enumerateFlips (1.0*a ==
+		// a), and a pattern that leaves the output correct adds +0.0,
+		// so q is bitwise what enumerateFlips returns.
+		var q float64
+		switch n {
+		case 1:
+			e0 := p[fan[0]]
+			wrong := flipTable(op.tt, bit(vals[fan[0]]), correct)
+			q = wrong[0] * (1 - e0)
+			q += wrong[1] * e0
+		case 2:
+			e0, e1 := p[fan[0]], p[fan[1]]
+			wrong := flipTable(op.tt, bit(vals[fan[0]])|bit(vals[fan[1]])<<1, correct)
+			q = wrong[0] * ((1 - e0) * (1 - e1))
+			q += wrong[1] * (e0 * (1 - e1))
+			q += wrong[2] * ((1 - e0) * e1)
+			q += wrong[3] * (e0 * e1)
+		default:
+			q = enumerateFlips(op.typ, fan, vals, p, correct)
 		}
 		// Fold in the gate's own flip: wrong iff exactly one of
 		// (inputs made it wrong, gate flipped).
 		p[id] = q*(1-eps) + (1-q)*eps
 	}
 	return p, nil
+}
+
+// enumerateFlips returns the probability that a gate of type typ over
+// fanins fan computes a value other than correct, summed over all 2^n
+// flip patterns of its fanins given their values vals and error
+// probabilities p.
+func enumerateFlips(typ circuit.GateType, fan []int32, vals []bool, p []float64, correct bool) float64 {
+	var faninVals [MaxEnumFanin]bool
+	var faninErrs [MaxEnumFanin]float64
+	var flipped [MaxEnumFanin]bool
+	n := len(fan)
+	for i, f := range fan {
+		faninVals[i] = vals[f]
+		faninErrs[i] = p[f]
+	}
+	q := 0.0
+	for mask := 0; mask < 1<<uint(n); mask++ {
+		prob := 1.0
+		for i := 0; i < n; i++ {
+			if mask>>uint(i)&1 == 1 {
+				prob *= faninErrs[i]
+				flipped[i] = !faninVals[i]
+			} else {
+				prob *= 1 - faninErrs[i]
+				flipped[i] = faninVals[i]
+			}
+		}
+		//lint:ignore floateq exact-zero short-circuit: prob is a product that is 0.0 only when a factor is exactly 0, and the branch is a pure skip-work optimisation
+		if prob == 0 {
+			continue
+		}
+		if typ.Eval(flipped[:n]) != correct {
+			q += prob
+		}
+	}
+	return q
+}
+
+// flipTable returns, for each flip pattern m of a gate with one or
+// two fanins whose deterministic fanin pattern is in, 1 if flipping
+// the fanins in m changes the output away from correct and 0 if not.
+func flipTable(tt uint8, in uint, correct bool) [4]float64 {
+	wrong := uint(tt)
+	if correct {
+		wrong = ^wrong
+	}
+	return [4]float64{
+		float64(wrong >> in & 1),
+		float64(wrong >> (in ^ 1) & 1),
+		float64(wrong >> (in ^ 2) & 1),
+		float64(wrong >> (in ^ 3) & 1),
+	}
+}
+
+func bit(b bool) uint {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // OutputBERsInto computes the per-output BER estimate for input x and

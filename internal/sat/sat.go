@@ -952,6 +952,14 @@ func (s *Solver) reduceDB() {
 }
 
 func (s *Solver) pickBranchVar() (Var, bool) {
+	if len(s.trail) == len(s.level) {
+		// Every variable is assigned, so popping would only drain the
+		// heap one sift-down at a time. Empty it in one pass instead:
+		// cancelUntil re-pushes the same variables in the same order
+		// either way, so the search does not change.
+		s.order.clear()
+		return 0, false
+	}
 	for s.order.size() > 0 {
 		v := s.order.pop(&s.activity)
 		if s.vals[PosLit(v)] == lUndef {
@@ -1236,6 +1244,14 @@ func (h *heap) pop(act *[]float64) Var {
 		h.down(0, act)
 	}
 	return top
+}
+
+// clear empties the heap without sifting.
+func (h *heap) clear() {
+	for _, v := range h.data {
+		h.pos[v] = -1
+	}
+	h.data = h.data[:0]
 }
 
 func (h *heap) decrease(v Var, act *[]float64) {
